@@ -26,10 +26,18 @@
 //! * **Shared-bus contention** ([`PcieBusArbiter`]) — every `h2d`/`d2h`
 //!   issued by any device first acquires the host's PCIe bus arbiter, so
 //!   concurrent transfers serialise against the aggregate host bandwidth
-//!   and device scaling is realistically sublinear. With one device the
+//!   and device scaling is realistically sublinear. The arbiter grants
+//!   the earliest idle gap at or after a copy's ready time, so a sharded
+//!   job's readback booked for a kernel that ends later never holds back
+//!   another device's upload that is ready now. With one device the
 //!   arbiter provably never delays anything (its aggregate bandwidth is
 //!   at least the per-device link bandwidth, and it charges no setup), so
 //!   a 1-device fleet in parity mode is bit-identical to [`crate::serve`].
+//!
+//! Readbacks follow the [`crate::serve`] rule fleet-wide: at every GPU
+//! dispatch instant, on any device, each held `d2h` whose kernel has
+//! ended by then is issued, in kernel-end order (ties by device, then
+//! stream); the end of the run flushes the rest the same way.
 //!
 //! **Parity mode** (`routing: None`) disables the router entirely: one
 //! shared queue, the exact [`crate::serve`] loop replayed against
@@ -45,8 +53,8 @@ use crate::job::{JobExpiry, JobOutcome, ScanJob, ServedBy};
 use crate::queue::BoundedQueue;
 use crate::report::{percentile, BatchBucket, PoolStatsReport, ServeReport};
 use crate::sim::{
-    lease_batch_buffers, rate, record_gpu_outcomes, run_cpu_batch, shed, tally, PendingReadback,
-    ServeConfig, ServeRun,
+    lease_batch_buffers, rate, record_gpu_outcomes, run_cpu_batch, shed, tally, HeldReadbacks,
+    PendingReadback, ServeConfig, ServeRun,
 };
 use crate::slo::AdmissionController;
 use crate::telemetry::ServeTelemetry;
@@ -340,7 +348,7 @@ pub struct FleetRun {
 struct FleetState {
     engines: Vec<StreamEngine>,
     breakers: Vec<CircuitBreaker>,
-    pendings: Vec<Vec<Option<PendingReadback>>>,
+    held: HeldReadbacks,
     /// One device-memory pool per device when the per-device config arms
     /// one (`None` entries otherwise — the legacy untracked path).
     pools: Vec<Option<DevicePool>>,
@@ -385,53 +393,39 @@ impl FleetState {
         self.engines[device].submit_at(stream, kind, label, seconds, bytes, release);
     }
 
-    /// Flush one held readback through the bus and record its outcomes
-    /// under the fleet-global stream id.
-    fn flush_pending(&mut self, device: usize, streams_per_device: u32, p: PendingReadback) {
-        if let Some(t) = self.tel.as_mut() {
-            t.set_device(Some(device as u32));
-        }
-        let local = p.stream;
-        self.submit_copy(
-            device,
-            local,
-            StreamOpKind::CopyD2H,
-            &p.label,
-            p.d2h_seconds,
-            p.bus_rb_bytes,
-            0.0,
-        );
-        let done = self.engines[device].stream_ready(local);
-        self.per_dev_jobs[device] += p.batch.len() as u64;
-        record_gpu_outcomes(
-            done,
-            device as u32 * streams_per_device + local,
-            p.batch,
-            p.per_job,
-            p.dispatch_seconds,
-            p.retries,
-            &mut self.outcomes,
-            &mut self.slo,
-            &mut self.tel,
-        );
-    }
-
-    /// Drain every held readback, in kernel-completion order (matching
-    /// the single-device drain exactly at `devices = 1`).
-    fn drain_pendings(&mut self, streams_per_device: u32) {
-        let mut leftovers: Vec<(usize, PendingReadback)> = Vec::new();
-        for (d, pending) in self.pendings.iter_mut().enumerate() {
-            for p in pending.iter_mut().filter_map(Option::take) {
-                leftovers.push((d, p));
+    /// Flush every held readback, on any device, whose kernel has ended
+    /// by `until`, in kernel-end order (ties by device, then stream) —
+    /// the single-device [`crate::serve`] rule at `devices = 1`. Each
+    /// `d2h` crosses the bus and its outcomes are recorded under the
+    /// fleet-global stream id.
+    fn flush_ready(&mut self, until: f64, streams_per_device: u32) {
+        for (device, p) in self.held.take_ready(until) {
+            if let Some(t) = self.tel.as_mut() {
+                t.set_device(Some(device as u32));
             }
-        }
-        leftovers.sort_by(|a, b| {
-            let ra = self.engines[a.0].stream_ready(a.1.stream);
-            let rb = self.engines[b.0].stream_ready(b.1.stream);
-            ra.partial_cmp(&rb).expect("sim times are finite")
-        });
-        for (d, p) in leftovers {
-            self.flush_pending(d, streams_per_device, p);
+            let local = p.stream;
+            self.submit_copy(
+                device,
+                local,
+                StreamOpKind::CopyD2H,
+                &p.label,
+                p.d2h_seconds,
+                p.bus_rb_bytes,
+                0.0,
+            );
+            let done = self.engines[device].stream_ready(local);
+            self.per_dev_jobs[device] += p.batch.len() as u64;
+            record_gpu_outcomes(
+                done,
+                device as u32 * streams_per_device + local,
+                p.batch,
+                p.per_job,
+                p.dispatch_seconds,
+                p.retries,
+                &mut self.outcomes,
+                &mut self.slo,
+                &mut self.tel,
+            );
         }
     }
 
@@ -496,9 +490,7 @@ pub fn serve_fleet(
         breakers: (0..devices)
             .map(|_| CircuitBreaker::new(dcfg.breaker))
             .collect(),
-        pendings: (0..devices)
-            .map(|_| (0..streams_per_device).map(|_| None).collect())
-            .collect(),
+        held: HeldReadbacks::default(),
         pools: (0..devices)
             .map(|_| dcfg.pool.map(|p| DevicePool::new(p.device_pool_config())))
             .collect(),
@@ -539,7 +531,7 @@ pub fn serve_fleet(
         }
     };
 
-    st.drain_pendings(streams_per_device);
+    st.flush_ready(f64::INFINITY, streams_per_device);
 
     // Drain every device's pool: all leases were released with their
     // readbacks, so a live block here is a dispatcher leak (panics).
@@ -791,9 +783,7 @@ fn run_parity<'a>(
             Route::Cpu => st.cpu_free.max(head),
         };
         if route == Route::Gpu {
-            if let Some(p) = st.pendings[dev][stream as usize].take() {
-                st.flush_pending(dev, streams_per_device, p);
-            }
+            st.flush_ready(dispatch, streams_per_device);
         }
         // Aggregate fleet drain rate: completions across *every* device
         // divided by elapsed time — the whole-fleet `retry_after_us`
@@ -962,7 +952,8 @@ fn dispatch_gpu_batch(
                 sup.run.seconds() + penalty,
                 0,
             );
-            st.breakers[dev].record_success(st.engines[dev].stream_ready(stream));
+            let kernel_end = st.engines[dev].stream_ready(stream);
+            st.breakers[dev].record_success(kernel_end);
             if let Some((model, alpha)) = refine {
                 model.observe(
                     assembled.data.len(),
@@ -970,18 +961,22 @@ fn dispatch_gpu_batch(
                     alpha,
                 );
             }
-            st.pendings[dev][stream as usize] = Some(PendingReadback {
-                stream,
-                label,
-                d2h_seconds: d2h,
-                rb_bytes,
-                bus_rb_bytes: pcie.bus_bytes(rb_bytes),
-                batch,
-                per_job,
-                dispatch_seconds: dispatch,
-                retries: sup.report.retries as u64,
-                _lease: lease,
-            });
+            st.held.hold(
+                dev,
+                PendingReadback {
+                    stream,
+                    kernel_end,
+                    label,
+                    d2h_seconds: d2h,
+                    rb_bytes,
+                    bus_rb_bytes: pcie.bus_bytes(rb_bytes),
+                    batch,
+                    per_job,
+                    dispatch_seconds: dispatch,
+                    retries: sup.report.retries as u64,
+                    _lease: lease,
+                },
+            );
         }
         Err((err, rep)) => {
             tally(&rep, &mut st.gpu_retries, &mut st.faults_fired);
@@ -1184,9 +1179,7 @@ fn run_routed<'a>(
             route = st.breakers[tier].route_at(dispatch);
             match route {
                 Route::Gpu => {
-                    if let Some(p) = st.pendings[tier][stream as usize].take() {
-                        st.flush_pending(tier, streams_per_device, p);
-                    }
+                    st.flush_ready(dispatch, streams_per_device);
                     gpu_arm = Some((tier, stream));
                 }
                 Route::Cpu => {
@@ -1405,13 +1398,14 @@ fn scatter_job<'a>(
     let per_segment: Vec<Vec<Match>> = runs.iter().map(|sup| sup.run.matches.clone()).collect();
     for (i, (seg, sup)) in segments.iter().zip(&runs).enumerate() {
         let d = seg.device as usize;
-        let (stream, _) = st.engines[d].next_free_stream();
+        let (stream, free) = st.engines[d].next_free_stream();
         if i == 0 {
             first_stream = d as u32 * streams_per_device + stream;
         }
-        if let Some(p) = st.pendings[d][stream as usize].take() {
-            st.flush_pending(d, streams_per_device, p);
-        }
+        // The segment dispatches once its stream frees up; everything
+        // whose kernel has ended by then (that stream's too) reads back
+        // first.
+        st.flush_ready(dispatch.max(free), streams_per_device);
         if let Some(t) = st.tel.as_mut() {
             t.set_device(Some(d as u32));
         }

@@ -12,11 +12,16 @@
 //! a FIFO, so enqueueing a batch's `d2h` right behind its kernel would
 //! park the engine until that kernel finishes and block the *next*
 //! batch's `h2d` (the classic GT200 false-serialisation). The loop
-//! therefore issues staged: each stream's `d2h` is held back and only
-//! enqueued when that stream is next reused (or at drain), so uploads
-//! for other streams slot into the gap and copies genuinely overlap
-//! compute. With one stream the flush lands immediately before the next
-//! upload, reproducing the strictly serial order.
+//! therefore issues staged: each batch's `d2h` is held back
+//! ([`HeldReadbacks`]) and enqueued at the first GPU dispatch instant
+//! by which its kernel has ended, in kernel-end order — the moment a
+//! host polling its stream events would see the kernel complete. The
+//! engine never receives a copy before the host could really issue it,
+//! so uploads for other streams slot into the gap and copies genuinely
+//! overlap compute; and a readback never waits for its stream to be
+//! reused, so a lightly loaded server answers each job in its own
+//! `h2d + kernel + d2h`. With one stream the flush lands immediately
+//! before the next upload, reproducing the strictly serial order.
 //!
 //! # Resilience
 //!
@@ -275,7 +280,7 @@ pub fn serve(
     let mut batches = 0u64;
     let mut payload_bytes = 0u64;
     let mut next = 0usize;
-    let mut pending: Vec<Option<PendingReadback>> = (0..cfg.streams.max(1)).map(|_| None).collect();
+    let mut held = HeldReadbacks::default();
     // The CPU failover executor's own in-order clock: failover batches
     // queue behind each other here, not on a GPU stream.
     let mut cpu_free = 0.0f64;
@@ -306,12 +311,19 @@ pub fn serve(
             Route::Gpu => gpu_dispatch,
             Route::Cpu => cpu_free.max(head),
         };
-        // Reusing this stream: its held readback goes first, so the new
-        // upload queues behind it on both the stream and the copy engine.
+        // Every readback whose kernel has ended by now goes first — the
+        // reused stream's among them, since its kernel ended by
+        // `gpu_free` — so the new upload queues behind them on the copy
+        // engine.
         if route == Route::Gpu {
-            if let Some(p) = pending[stream as usize].take() {
-                flush_readback(&mut engine, &mut outcomes, &mut slo, &mut tel, p);
-            }
+            flush_ready(
+                &mut engine,
+                &mut held,
+                dispatch,
+                &mut outcomes,
+                &mut slo,
+                &mut tel,
+            );
         }
         // Everything that arrived while the tier was busy is admitted
         // now (shed under SLO pressure, or bounced off the full queue
@@ -438,19 +450,24 @@ pub fn serve(
                             sup.run.seconds() + penalty,
                             0,
                         );
-                        breaker.record_success(engine.stream_ready(stream));
-                        pending[stream as usize] = Some(PendingReadback {
-                            stream,
-                            label,
-                            d2h_seconds: d2h,
-                            rb_bytes,
-                            bus_rb_bytes: pcie.bus_bytes(rb_bytes),
-                            batch,
-                            per_job,
-                            dispatch_seconds: dispatch,
-                            retries: sup.report.retries as u64,
-                            _lease: lease,
-                        });
+                        let kernel_end = engine.stream_ready(stream);
+                        breaker.record_success(kernel_end);
+                        held.hold(
+                            0,
+                            PendingReadback {
+                                stream,
+                                kernel_end,
+                                label,
+                                d2h_seconds: d2h,
+                                rb_bytes,
+                                bus_rb_bytes: pcie.bus_bytes(rb_bytes),
+                                batch,
+                                per_job,
+                                dispatch_seconds: dispatch,
+                                retries: sup.report.retries as u64,
+                                _lease: lease,
+                            },
+                        );
                     }
                     Err((err, rep)) => {
                         tally(&rep, &mut gpu_retries, &mut faults_fired);
@@ -509,18 +526,16 @@ pub fn serve(
         }
     }
 
-    // Drain: no more uploads will fill the copy-engine gaps, so flush the
-    // held readbacks in the order their kernels finish.
-    let mut leftovers: Vec<PendingReadback> = pending.iter_mut().filter_map(Option::take).collect();
-    leftovers.sort_by(|a, b| {
-        engine
-            .stream_ready(a.stream)
-            .partial_cmp(&engine.stream_ready(b.stream))
-            .expect("sim times are finite")
-    });
-    for p in leftovers {
-        flush_readback(&mut engine, &mut outcomes, &mut slo, &mut tel, p);
-    }
+    // Drain: no more uploads will fill the copy-engine gaps, so flush
+    // every held readback in the order its kernel finishes.
+    flush_ready(
+        &mut engine,
+        &mut held,
+        f64::INFINITY,
+        &mut outcomes,
+        &mut slo,
+        &mut tel,
+    );
 
     // Pool drain: every lease was released with its batch's readback, so
     // nothing may still be live (a leak panics here, pinned in tests).
@@ -662,11 +677,14 @@ pub(crate) fn run_cpu_batch(
 }
 
 /// A batch whose kernel has been issued but whose readback is held
-/// until its stream is reused (staged issue, see module docs). Crate
-/// visibility: the fleet dispatcher ([`crate::fleet`]) holds the same
-/// structure per device, flushing through the shared bus arbiter.
+/// until the host sees the kernel end (staged issue, see module docs).
+/// Crate visibility: the fleet dispatcher ([`crate::fleet`]) holds the
+/// same structure per device, flushing through the shared bus arbiter.
 pub(crate) struct PendingReadback {
     pub(crate) stream: u32,
+    /// When the batch's kernel ends on its stream: the earliest instant
+    /// the host may issue the readback.
+    pub(crate) kernel_end: f64,
     pub(crate) label: String,
     pub(crate) d2h_seconds: f64,
     pub(crate) rb_bytes: u64,
@@ -684,6 +702,72 @@ pub(crate) struct PendingReadback {
     /// The batch's pooled device buffers, held only to keep the blocks
     /// leased; dropping the readback returns them to the pool.
     pub(crate) _lease: Option<BatchLease>,
+}
+
+/// Every readback held across a run's devices (one device for
+/// [`serve`]), keyed by the device that owns it. At most one per stream:
+/// a stream is only reused once its kernel has ended, and every dispatch
+/// first flushes the readbacks whose kernels ended by then.
+#[derive(Default)]
+pub(crate) struct HeldReadbacks {
+    held: Vec<(usize, PendingReadback)>,
+}
+
+impl HeldReadbacks {
+    /// Hold `p` on `device` until its kernel has ended by a flush instant.
+    pub(crate) fn hold(&mut self, device: usize, p: PendingReadback) {
+        self.held.push((device, p));
+    }
+
+    /// Remove every readback whose kernel has ended by `until`, in
+    /// kernel-end order, ties broken by (device, stream). This one rule
+    /// orders readbacks for [`serve`] and for every fleet loop.
+    pub(crate) fn take_ready(&mut self, until: f64) -> Vec<(usize, PendingReadback)> {
+        let mut ready: Vec<_> = self
+            .held
+            .extract_if(.., |(_, p)| p.kernel_end <= until)
+            .collect();
+        ready.sort_by(|a, b| {
+            a.1.kernel_end
+                .partial_cmp(&b.1.kernel_end)
+                .expect("sim times are finite")
+                .then(a.0.cmp(&b.0))
+                .then(a.1.stream.cmp(&b.1.stream))
+        });
+        ready
+    }
+}
+
+/// Flush, on a single device, every held readback whose kernel has ended
+/// by `until`.
+fn flush_ready(
+    engine: &mut StreamEngine,
+    held: &mut HeldReadbacks,
+    until: f64,
+    outcomes: &mut Vec<JobOutcome>,
+    slo: &mut Option<AdmissionController>,
+    tel: &mut Option<ServeTelemetry>,
+) {
+    for (_, p) in held.take_ready(until) {
+        engine.submit(
+            p.stream,
+            StreamOpKind::CopyD2H,
+            &p.label,
+            p.d2h_seconds,
+            p.rb_bytes,
+        );
+        record_gpu_outcomes(
+            engine.stream_ready(p.stream),
+            p.stream,
+            p.batch,
+            p.per_job,
+            p.dispatch_seconds,
+            p.retries,
+            outcomes,
+            slo,
+            tel,
+        );
+    }
 }
 
 /// One GPU batch's pooled device buffers (corpus in, results out),
@@ -726,37 +810,8 @@ pub(crate) fn lease_batch_buffers(
     ))
 }
 
-/// Enqueue the held `d2h` and record its jobs' outcomes.
-pub(crate) fn flush_readback(
-    engine: &mut StreamEngine,
-    outcomes: &mut Vec<JobOutcome>,
-    slo: &mut Option<AdmissionController>,
-    tel: &mut Option<ServeTelemetry>,
-    p: PendingReadback,
-) {
-    engine.submit(
-        p.stream,
-        StreamOpKind::CopyD2H,
-        &p.label,
-        p.d2h_seconds,
-        p.rb_bytes,
-    );
-    let done = engine.stream_ready(p.stream);
-    record_gpu_outcomes(
-        done,
-        p.stream,
-        p.batch,
-        p.per_job,
-        p.dispatch_seconds,
-        p.retries,
-        outcomes,
-        slo,
-        tel,
-    );
-}
-
 /// Record the per-job outcomes of a completed GPU batch. Split out of
-/// [`flush_readback`] so the fleet path can reuse it with a device-global
+/// [`flush_ready`] so the fleet path can reuse it with a device-global
 /// stream id after submitting the `d2h` through the bus arbiter.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn record_gpu_outcomes(

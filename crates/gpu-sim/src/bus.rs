@@ -6,9 +6,19 @@
 //! N devices is different — every `h2d`/`d2h` crosses shared host-side
 //! resources (the root-complex links, the host memory channels feeding
 //! pinned staging buffers), and those do *not* scale with N. This module
-//! models that shared segment as one FIFO resource with an aggregate
+//! models that shared segment as one resource with an aggregate
 //! bandwidth: before a device-level copy is released, the host must
 //! *acquire* the bus for `bytes / aggregate_bandwidth` seconds.
+//!
+//! The arbiter keeps the booked `[start, end)` intervals and grants each
+//! copy the earliest gap at or after its `ready` time that is long
+//! enough for its occupancy. Bookings therefore need not arrive in time
+//! order: a readback booked for a kernel that ends in the future does
+//! not hold back an upload from another device that is ready now — the
+//! upload takes the idle gap in front of the booking, as the root
+//! complex would on real hardware. When `ready` times arrive
+//! non-decreasing there is never a usable gap before the last booking,
+//! and the grants are exactly those of a FIFO.
 //!
 //! Two deliberate asymmetries keep the single-device schedule exact:
 //!
@@ -22,6 +32,9 @@
 //! sublinear-scaling knee the fleet benchmarks measure.
 
 use serde::{Deserialize, Serialize};
+use std::cmp::Ordering;
+use std::collections::BTreeMap;
+use std::ops::Bound::{Excluded, Unbounded};
 
 /// Shared host-side transfer segment for a device fleet.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -76,13 +89,33 @@ impl BusStats {
     }
 }
 
-/// Deterministic FIFO arbiter over the shared transfer segment: grants
-/// serialize in acquisition order, each occupying the bus for
-/// `bytes / aggregate_bytes_per_sec`.
+/// A simulated instant, totally ordered so it can key the booking map.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct At(f64);
+
+impl Eq for At {}
+
+impl PartialOrd for At {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for At {
+    fn cmp(&self, other: &Self) -> Ordering {
+        self.0.total_cmp(&other.0)
+    }
+}
+
+/// Deterministic gap-filling arbiter over the shared transfer segment:
+/// each grant is the earliest instant at or after the copy's `ready`
+/// time where `bytes / aggregate_bytes_per_sec` of bus time is free.
 #[derive(Debug, Clone)]
 pub struct PcieBusArbiter {
     cfg: BusConfig,
-    free: f64,
+    /// Disjoint busy blocks, start → end. Touching bookings are merged,
+    /// so a FIFO-ordered stream of grants stays one block.
+    busy: BTreeMap<At, f64>,
     stats: BusStats,
 }
 
@@ -91,23 +124,28 @@ impl PcieBusArbiter {
     pub fn new(cfg: BusConfig) -> Self {
         PcieBusArbiter {
             cfg,
-            free: 0.0,
+            busy: BTreeMap::new(),
             stats: BusStats::default(),
         }
     }
 
     /// Acquire the bus for a `bytes`-sized copy that is otherwise ready
     /// at `ready` seconds. Returns the instant the device-level copy may
-    /// be released: `ready` when the bus is idle, later when another
-    /// device's transfer still occupies it.
+    /// be released: `ready` when the bus is idle for the copy's whole
+    /// occupancy from then on, else the start of the first idle gap
+    /// after `ready` that is long enough.
     pub fn acquire(&mut self, ready: f64, bytes: u64) -> f64 {
-        let granted = ready.max(self.free);
         let occupancy = if self.cfg.aggregate_bytes_per_sec > 0.0 {
             bytes as f64 / self.cfg.aggregate_bytes_per_sec
         } else {
             0.0
         };
-        self.free = granted + occupancy;
+        // A zero-length copy books nothing but still cannot start inside
+        // another copy's occupancy.
+        let granted = self.earliest_gap(ready, occupancy);
+        if occupancy > 0.0 {
+            self.book(granted, granted + occupancy);
+        }
         self.stats.grants += 1;
         if granted > ready {
             self.stats.contended += 1;
@@ -118,9 +156,39 @@ impl PcieBusArbiter {
         granted
     }
 
-    /// When the bus next goes idle.
+    /// First instant `>= ready` with `occupancy` seconds of idle bus.
+    fn earliest_gap(&self, ready: f64, occupancy: f64) -> f64 {
+        let mut start = ready;
+        // The last block starting at or before `ready` may still cover it.
+        if let Some((_, &end)) = self.busy.range(..=At(ready)).next_back() {
+            start = start.max(end);
+        }
+        for (&At(block_start), &block_end) in self.busy.range((Excluded(At(ready)), Unbounded)) {
+            if block_start >= start + occupancy {
+                break;
+            }
+            start = start.max(block_end);
+        }
+        start
+    }
+
+    /// Book `[start, end)`, merging with blocks it exactly touches.
+    fn book(&mut self, mut start: f64, mut end: f64) {
+        if let Some((&At(prev_start), &prev_end)) = self.busy.range(..=At(start)).next_back() {
+            if prev_end == start {
+                self.busy.remove(&At(prev_start));
+                start = prev_start;
+            }
+        }
+        if let Some(next_end) = self.busy.remove(&At(end)) {
+            end = next_end;
+        }
+        self.busy.insert(At(start), end);
+    }
+
+    /// When the bus goes idle after its last booking.
     pub fn free_at(&self) -> f64 {
-        self.free
+        self.busy.values().next_back().copied().unwrap_or(0.0)
     }
 
     /// Cumulative statistics so far.
@@ -132,6 +200,7 @@ impl PcieBusArbiter {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn idle_bus_grants_at_ready_time() {
@@ -185,5 +254,115 @@ mod tests {
         assert_eq!(bus.acquire(3.0, 1 << 20), 3.0);
         assert_eq!(bus.acquire(3.0, 1 << 20), 3.0);
         assert_eq!(bus.stats().busy_seconds, 0.0);
+    }
+
+    fn one_gbps() -> PcieBusArbiter {
+        PcieBusArbiter::new(BusConfig {
+            aggregate_bytes_per_sec: 1.0e9,
+        })
+    }
+
+    #[test]
+    fn later_acquired_copy_ready_earlier_fills_the_gap_ahead() {
+        let mut bus = one_gbps();
+        // A readback booked for a kernel that ends at t = 10 s …
+        assert_eq!(bus.acquire(10.0, 1_000_000_000), 10.0);
+        // … does not hold back an upload that is ready now.
+        assert_eq!(bus.acquire(2.0, 3_000_000_000), 2.0);
+        let s = bus.stats();
+        assert_eq!(s.contended, 0);
+        assert_eq!(s.waited_seconds, 0.0);
+        assert_eq!(bus.free_at(), 11.0);
+    }
+
+    #[test]
+    fn copy_that_fits_a_gap_exactly_is_granted_in_it() {
+        let mut bus = one_gbps();
+        // Book [0, 1) and [3, 4).
+        assert_eq!(bus.acquire(0.0, 1_000_000_000), 0.0);
+        assert_eq!(bus.acquire(3.0, 1_000_000_000), 3.0);
+        // Ready mid-block: pushed to 1, and [1, 3) is exactly 2 s long.
+        assert_eq!(bus.acquire(0.5, 2_000_000_000), 1.0);
+        // The bus is now solid from 0 to 4: the next copy queues at 4.
+        assert_eq!(bus.acquire(0.0, 500_000_000), 4.0);
+        assert_eq!(bus.free_at(), 4.5);
+    }
+
+    #[test]
+    fn copy_too_long_for_a_gap_skips_past_it() {
+        let mut bus = one_gbps();
+        // Book [0, 1) and [2, 3).
+        assert_eq!(bus.acquire(0.0, 1_000_000_000), 0.0);
+        assert_eq!(bus.acquire(2.0, 1_000_000_000), 2.0);
+        // [1, 2) is only 1 s long; a 1.5 s copy waits for the bus at 3.
+        assert_eq!(bus.acquire(1.0, 1_500_000_000), 3.0);
+        let s = bus.stats();
+        assert_eq!(s.contended, 1);
+        assert_eq!(s.waited_seconds, 2.0);
+    }
+
+    #[test]
+    fn contention_counts_only_real_overlap() {
+        let mut bus = one_gbps();
+        // Book [5, 6).
+        assert_eq!(bus.acquire(5.0, 1_000_000_000), 5.0);
+        // Ends exactly where the booking starts: no overlap, no wait.
+        assert_eq!(bus.acquire(4.0, 1_000_000_000), 4.0);
+        // Starts exactly where the bus goes idle: no overlap either.
+        assert_eq!(bus.acquire(6.0, 1_000_000_000), 6.0);
+        assert_eq!(bus.stats().contended, 0);
+        assert_eq!(bus.stats().waited_seconds, 0.0);
+        // Overlaps [4, 7) by 0.25 s: waits exactly until 7.
+        assert_eq!(bus.acquire(6.75, 1_000_000_000), 7.0);
+        let s = bus.stats();
+        assert_eq!(s.grants, 4);
+        assert_eq!(s.contended, 1);
+        assert_eq!(s.waited_seconds, 0.25);
+        assert_eq!(s.busy_seconds, 4.0);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn grants_never_overlap_and_never_precede_ready(
+            copies in proptest::collection::vec((0u32..2_000, 1u64..5_000), 1..80),
+        ) {
+            let mut bus = one_gbps();
+            let mut booked: Vec<(f64, f64)> = Vec::new();
+            for &(ready_us, bytes) in &copies {
+                let ready = ready_us as f64 * 1.0e-6;
+                let granted = bus.acquire(ready, bytes * 1_000);
+                prop_assert!(granted >= ready);
+                booked.push((granted, granted + (bytes * 1_000) as f64 / 1.0e9));
+            }
+            booked.sort_by(|a, b| a.0.total_cmp(&b.0));
+            for w in booked.windows(2) {
+                prop_assert!(w[0].1 <= w[1].0, "overlap: {:?} then {:?}", w[0], w[1]);
+            }
+        }
+
+        #[test]
+        fn non_decreasing_ready_reproduces_fifo_grants_exactly(
+            copies in proptest::collection::vec((0u32..400, 0u64..5_000), 1..80),
+        ) {
+            let mut bus = one_gbps();
+            let (mut ready, mut free) = (0.0f64, 0.0f64);
+            let (mut contended, mut waited) = (0u64, 0.0f64);
+            for &(step_us, bytes) in &copies {
+                ready += step_us as f64 * 1.0e-6;
+                let bytes = bytes * 1_000;
+                // The single-`free`-mark FIFO this arbiter replaces.
+                let fifo = ready.max(free);
+                free = fifo + bytes as f64 / 1.0e9;
+                if fifo > ready {
+                    contended += 1;
+                    waited += fifo - ready;
+                }
+                prop_assert_eq!(bus.acquire(ready, bytes), fifo);
+            }
+            prop_assert_eq!(bus.stats().contended, contended);
+            prop_assert_eq!(bus.stats().waited_seconds, waited);
+        }
     }
 }

@@ -450,38 +450,63 @@ fn one_device_parity_fleet_is_bit_identical_to_serve() {
     // covers the link, no setup charge), and the parity loop's device
     // argmin degenerates to `next_free_stream()`. Every behavioural
     // output must be bit-identical, including f64 schedule times.
+    //
+    // One row per regime: overloaded (the queue fills and rejects), and
+    // light (the device idles between arrivals, which is where held
+    // readbacks flush at a dispatch instant rather than on stream reuse).
     let matcher = {
         let cfg = GpuConfig::gtx285();
         let ac = ac_serve::serve_automaton(ac_serve::DEFAULT_PATTERNS, 7);
         GpuAcMatcher::new(cfg, KernelParams::defaults_for(&cfg), ac).unwrap()
     };
-    let workload = WorkloadConfig {
-        jobs: 64,
-        seed: 7,
-        ..WorkloadConfig::defaults()
-    };
-    let jobs = synthetic_workload(&workload);
+    for (rate, streams) in [(1_600_000u64, 2u32), (20_000, 2), (20_000, 4)] {
+        let workload = WorkloadConfig {
+            jobs: 64,
+            seed: 7,
+            arrival_rate_per_sec: rate,
+            ..WorkloadConfig::defaults()
+        };
+        let jobs = synthetic_workload(&workload);
+        let case = format!("{rate} jobs/s on {streams} streams");
 
-    let mut serve_cfg = ServeConfig::new(2);
-    serve_cfg.queue_capacity = 16;
-    let single = serve(&matcher, jobs.clone(), &serve_cfg).unwrap();
-    let fleet = serve_fleet(&matcher, jobs, &FleetConfig::new(1, serve_cfg).parity()).unwrap();
+        let mut serve_cfg = ServeConfig::new(streams);
+        serve_cfg.queue_capacity = 16;
+        let single = serve(&matcher, jobs.clone(), &serve_cfg).unwrap();
+        let fleet = serve_fleet(&matcher, jobs, &FleetConfig::new(1, serve_cfg).parity()).unwrap();
 
-    assert_eq!(fleet.serve.report, single.report, "ServeReport drifted");
-    assert_eq!(fleet.serve.outcomes, single.outcomes, "outcomes drifted");
-    assert_eq!(fleet.serve.rejections, single.rejections);
-    assert_eq!(fleet.serve.expiries, single.expiries);
-    assert_eq!(fleet.serve.sheds, single.sheds);
-    assert_eq!(fleet.serve.breaker_transitions, single.breaker_transitions);
-    assert_eq!(
-        fleet.serve.timeline, single.timeline,
-        "stream timeline drifted"
-    );
-    // The fleet wrapper's own accounting agrees with the degenerate case.
-    assert_eq!(fleet.report.devices, 1);
-    assert_eq!(fleet.timelines.len(), 1);
-    assert_eq!(fleet.timelines[0], single.timeline);
-    assert!(fleet.report.routing.is_empty(), "parity mode has no router");
-    assert!(fleet.report.cost_models.is_empty());
-    assert_eq!(fleet.report.scattered_jobs, 0);
+        assert_eq!(
+            fleet.serve.report, single.report,
+            "{case}: ServeReport drifted"
+        );
+        assert_eq!(
+            fleet.serve.outcomes, single.outcomes,
+            "{case}: outcomes drifted"
+        );
+        assert_eq!(fleet.serve.rejections, single.rejections, "{case}");
+        assert_eq!(fleet.serve.expiries, single.expiries, "{case}");
+        assert_eq!(fleet.serve.sheds, single.sheds, "{case}");
+        assert_eq!(
+            fleet.serve.breaker_transitions, single.breaker_transitions,
+            "{case}"
+        );
+        assert_eq!(
+            fleet.serve.timeline, single.timeline,
+            "{case}: stream timeline drifted"
+        );
+        // The fleet wrapper's own accounting agrees with the degenerate case.
+        assert_eq!(fleet.report.devices, 1);
+        assert_eq!(fleet.timelines.len(), 1);
+        assert_eq!(fleet.timelines[0], single.timeline, "{case}");
+        assert!(fleet.report.routing.is_empty(), "parity mode has no router");
+        assert!(fleet.report.cost_models.is_empty());
+        assert_eq!(fleet.report.scattered_jobs, 0);
+        if rate == 20_000 {
+            // The light rows really do idle: no job ever finds another
+            // queued ahead of it, so every batch is a singleton.
+            assert_eq!(single.report.jobs_rejected, 0, "{case}");
+            assert_eq!(single.report.batches, 64, "{case}");
+        } else {
+            assert!(single.report.jobs_rejected > 0, "{case}: not overloaded");
+        }
+    }
 }
