@@ -744,7 +744,7 @@ impl GpuAcMatcher {
                 }
             }
         }
-        out.sort();
+        out.sort_unstable();
         out
     }
 
@@ -762,7 +762,7 @@ impl GpuAcMatcher {
                 });
             }
         }
-        out.sort();
+        out.sort_unstable();
         out
     }
 }

@@ -38,6 +38,16 @@ impl CpuRunReport {
 const STT_BASE: u64 = 0;
 const INPUT_BASE: u64 = 1 << 40;
 
+/// Bytes per batch of DFA states handed from the walking thread to the
+/// cache model. One batch of states is 64 KiB.
+pub(crate) const WALK_CHUNK: usize = 16 * 1024;
+
+/// Batches the walking thread may run ahead of the cache model.
+const WALK_AHEAD: usize = 4;
+
+/// A state's match flag rides in the top bit of the walk's output.
+const MATCH_BIT: u32 = 1 << 31;
+
 /// Simulate the paper's serial matcher (single core) over `text`.
 ///
 /// Walks the *real* DFA over the *real* input, feeding every memory
@@ -49,47 +59,121 @@ const INPUT_BASE: u64 = 1 << 40;
 /// * one STT match-flag read per position at `(next_row, 0)`.
 ///
 /// Cost per byte = `base_cycles_per_byte` + miss penalties.
+///
+/// On the host, a helper thread walks the DFA a few [`WALK_CHUNK`]-byte
+/// batches ahead while this thread runs the cache model over the states it
+/// sends, in input order; the report is the same as one thread doing
+/// both. Inputs of one batch or less run on this thread alone.
 pub fn simulate_serial(cfg: &CpuConfig, stt: &Stt, text: &[u8]) -> CpuRunReport {
-    let mut l1 = Cache::new(cfg.l1);
-    let mut l2 = Cache::new(cfg.l2);
-    let mut cycles: u64 = 0;
-    let mut match_states: u64 = 0;
-    let mut state = 0u32;
-
-    let touch = |addr: u64, l1: &mut Cache, l2: &mut Cache| -> u64 {
-        if l1.access(addr).is_hit() {
-            0
-        } else if l2.access(addr).is_hit() {
-            cfg.l1_miss_cycles as u64
-        } else {
-            (cfg.l1_miss_cycles + cfg.l2_miss_cycles) as u64
+    assert!(
+        stt.state_count() <= MATCH_BIT as usize,
+        "state ids must leave the top bit free"
+    );
+    let mut model = CacheWalk::new(cfg);
+    if text.len() <= WALK_CHUNK {
+        model.feed(text, &walk(stt, &mut 0, text));
+        return model.report(text.len());
+    }
+    std::thread::scope(|scope| {
+        let (tx, rx) = std::sync::mpsc::sync_channel(WALK_AHEAD);
+        let walker = scope.spawn(move || {
+            let mut state = 0;
+            for chunk in text.chunks(WALK_CHUNK) {
+                if tx.send(walk(stt, &mut state, chunk)).is_err() {
+                    return;
+                }
+            }
+        });
+        for (chunk, states) in text.chunks(WALK_CHUNK).zip(rx) {
+            model.feed(chunk, &states);
         }
-    };
+        if let Err(payload) = walker.join() {
+            std::panic::resume_unwind(payload);
+        }
+    });
+    model.report(text.len())
+}
 
-    for (i, &b) in text.iter().enumerate() {
-        cycles += cfg.base_cycles_per_byte as u64;
-        // Input byte (sequential; one miss per line).
-        cycles += touch(INPUT_BASE + i as u64, &mut l1, &mut l2);
-        // Next-state entry.
-        let entry = STT_BASE + (state as u64 * STT_COLUMNS as u64 + 1 + b as u64) * 4;
-        cycles += touch(entry, &mut l1, &mut l2);
-        state = stt.next(state, b);
-        // Match flag of the state just entered (column 0).
-        let flag = STT_BASE + state as u64 * STT_COLUMNS as u64 * 4;
-        cycles += touch(flag, &mut l1, &mut l2);
-        if stt.is_match(state) {
-            match_states += 1;
-            // Output expansion: short, mostly-cached work.
-            cycles += 8;
+/// Run the DFA from `*state` over `chunk`, returning each state entered
+/// with its match flag in [`MATCH_BIT`], and leave `*state` at the last.
+fn walk(stt: &Stt, state: &mut u32, chunk: &[u8]) -> Vec<u32> {
+    chunk
+        .iter()
+        .map(|&b| {
+            *state = stt.next(*state, b);
+            *state | if stt.is_match(*state) { MATCH_BIT } else { 0 }
+        })
+        .collect()
+}
+
+/// The cache model and cycle count of the serial walk, fed the walk's
+/// states in input order.
+struct CacheWalk<'a> {
+    cfg: &'a CpuConfig,
+    l1: Cache,
+    l2: Cache,
+    cycles: u64,
+    match_states: u64,
+    /// Input offset of the next byte fed.
+    pos: u64,
+    /// The state the next byte is read in.
+    state: u32,
+}
+
+impl<'a> CacheWalk<'a> {
+    fn new(cfg: &'a CpuConfig) -> Self {
+        CacheWalk {
+            cfg,
+            l1: Cache::new(cfg.l1),
+            l2: Cache::new(cfg.l2),
+            cycles: 0,
+            match_states: 0,
+            pos: 0,
+            state: 0,
         }
     }
 
-    CpuRunReport {
-        cycles,
-        bytes: text.len(),
-        match_states,
-        l1: l1.stats(),
-        l2: l2.stats(),
+    fn touch(&mut self, addr: u64) -> u64 {
+        if self.l1.access(addr).is_hit() {
+            0
+        } else if self.l2.access(addr).is_hit() {
+            self.cfg.l1_miss_cycles as u64
+        } else {
+            (self.cfg.l1_miss_cycles + self.cfg.l2_miss_cycles) as u64
+        }
+    }
+
+    /// Charge `bytes`, whose walk entered `states`.
+    fn feed(&mut self, bytes: &[u8], states: &[u32]) {
+        debug_assert_eq!(bytes.len(), states.len());
+        for (&b, &entered) in bytes.iter().zip(states) {
+            self.cycles += self.cfg.base_cycles_per_byte as u64;
+            // Input byte (sequential; one miss per line).
+            self.cycles += self.touch(INPUT_BASE + self.pos);
+            // Next-state entry.
+            let entry = STT_BASE + (self.state as u64 * STT_COLUMNS as u64 + 1 + b as u64) * 4;
+            self.cycles += self.touch(entry);
+            self.state = entered & !MATCH_BIT;
+            // Match flag of the state just entered (column 0).
+            let flag = STT_BASE + self.state as u64 * STT_COLUMNS as u64 * 4;
+            self.cycles += self.touch(flag);
+            if entered & MATCH_BIT != 0 {
+                self.match_states += 1;
+                // Output expansion: short, mostly-cached work.
+                self.cycles += 8;
+            }
+            self.pos += 1;
+        }
+    }
+
+    fn report(self, bytes: usize) -> CpuRunReport {
+        CpuRunReport {
+            cycles: self.cycles,
+            bytes,
+            match_states: self.match_states,
+            l1: self.l1.stats(),
+            l2: self.l2.stats(),
+        }
     }
 }
 
@@ -181,6 +265,79 @@ mod tests {
         let stt = stt_for(&["he"]);
         let r = simulate_serial(&cfg, &stt, b"he he he");
         assert_eq!(r.match_states, 3);
+    }
+
+    /// The serial walk in one loop on one thread: the reference the
+    /// pipelined [`simulate_serial`] must equal.
+    fn reference_walk(cfg: &CpuConfig, stt: &Stt, text: &[u8]) -> CpuRunReport {
+        let mut l1 = Cache::new(cfg.l1);
+        let mut l2 = Cache::new(cfg.l2);
+        let mut touch = |addr: u64| -> u64 {
+            if l1.access(addr).is_hit() {
+                0
+            } else if l2.access(addr).is_hit() {
+                cfg.l1_miss_cycles as u64
+            } else {
+                (cfg.l1_miss_cycles + cfg.l2_miss_cycles) as u64
+            }
+        };
+        let (mut cycles, mut match_states, mut state) = (0u64, 0u64, 0u32);
+        for (i, &b) in text.iter().enumerate() {
+            cycles += cfg.base_cycles_per_byte as u64;
+            cycles += touch(INPUT_BASE + i as u64);
+            cycles += touch(STT_BASE + (state as u64 * STT_COLUMNS as u64 + 1 + b as u64) * 4);
+            state = stt.next(state, b);
+            cycles += touch(STT_BASE + state as u64 * STT_COLUMNS as u64 * 4);
+            if stt.is_match(state) {
+                match_states += 1;
+                cycles += 8;
+            }
+        }
+        CpuRunReport {
+            cycles,
+            bytes: text.len(),
+            match_states,
+            l1: l1.stats(),
+            l2: l2.stats(),
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(24))]
+        /// Pipelined == one-thread walk, below, at and across the batch
+        /// size: cycles, matches and both caches' counters.
+        #[test]
+        fn pipelined_walk_equals_reference(
+            pats in proptest::collection::vec("[a-d]{1,4}", 1..8),
+            len in proptest::sample::select(vec![
+                0,
+                1,
+                WALK_CHUNK / 3,
+                WALK_CHUNK - 1,
+                WALK_CHUNK,
+                WALK_CHUNK + 1,
+                2 * WALK_CHUNK,
+                3 * WALK_CHUNK + 777,
+            ]),
+            seed in proptest::prelude::any::<u64>(),
+        ) {
+            let refs: Vec<&str> = pats.iter().map(String::as_str).collect();
+            let stt = stt_for(&refs);
+            let mut x = seed | 1;
+            let text: Vec<u8> = (0..len)
+                .map(|_| {
+                    x ^= x << 13;
+                    x ^= x >> 7;
+                    x ^= x << 17;
+                    b"abcde"[(x % 5) as usize]
+                })
+                .collect();
+            let cfg = CpuConfig::core2duo_2_2ghz();
+            proptest::prop_assert_eq!(
+                simulate_serial(&cfg, &stt, &text),
+                reference_walk(&cfg, &stt, &text)
+            );
+        }
     }
 
     #[test]

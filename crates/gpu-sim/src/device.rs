@@ -10,11 +10,13 @@ use crate::fault::{FaultState, InjectedFault, LaunchFault, HANG_CYCLES};
 use crate::global::GlobalMemory;
 use crate::introspect::{IntrospectConfig, IntrospectState, Introspection};
 use crate::kernel::{WarpGeometry, WarpProgram};
-use crate::scheduler::run_sm;
+use crate::scheduler::{run_sm, SmHooks};
 use crate::stats::{LaunchStats, SmStats};
 use crate::texture::{TexId, Texture2d};
 use serde::{Deserialize, Serialize};
-use std::sync::Arc;
+use std::panic::{self, AssertUnwindSafe};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex};
 use trace::{TraceBuffer, TraceConfig};
 
 /// Grid/block geometry of one kernel launch.
@@ -254,17 +256,19 @@ impl GpuDevice {
     /// before the capacity frontier grows; fails when no contiguous
     /// region fits.
     pub fn alloc_global(&mut self, bytes: u64) -> Result<u64, DeviceError> {
+        let base = self.reserve(bytes)?;
+        self.global.grow((base + bytes) as usize);
+        Ok(base)
+    }
+
+    /// Claim `bytes` of the device's address space without backing them in
+    /// the functional byte store: the allocation path, fault hook
+    /// included, minus the bytes.
+    fn reserve(&mut self, bytes: u64) -> Result<u64, DeviceError> {
         if let Some(fault) = self.fault.as_mut().and_then(|f| f.on_alloc()) {
             return Err(DeviceError::Fault(fault));
         }
-        let base = self.alloc.alloc(bytes)?;
-        let end = (base + bytes) as usize;
-        if end > self.global.len() {
-            let mut data = std::mem::take(&mut self.global).into_bytes();
-            data.resize(end, 0);
-            self.global = GlobalMemory::from_bytes(data);
-        }
-        Ok(base)
+        self.alloc.alloc(bytes)
     }
 
     /// Release a block obtained from [`alloc_global`], making its space
@@ -287,9 +291,7 @@ impl GpuDevice {
     /// Copy host bytes into global memory at `addr` (the `cudaMemcpy`
     /// host→device of the paper; excluded from kernel timing, as in §V).
     pub fn write_global(&mut self, addr: u64, data: &[u8]) {
-        let mut bytes = std::mem::take(&mut self.global).into_bytes();
-        bytes[addr as usize..addr as usize + data.len()].copy_from_slice(data);
-        self.global = GlobalMemory::from_bytes(bytes);
+        self.global.write(addr, data);
     }
 
     /// Read back a global-memory range (device→host result copy).
@@ -306,7 +308,7 @@ impl GpuDevice {
         cols: u32,
     ) -> Result<TexId, DeviceError> {
         // Account for capacity without materializing a copy.
-        self.alloc_global(data.len() as u64 * 4)?;
+        self.reserve(data.len() as u64 * 4)?;
         self.textures.push(Texture2d::new(data, rows, cols));
         Ok(TexId(self.textures.len() - 1))
     }
@@ -332,13 +334,34 @@ impl GpuDevice {
     /// of the grid. Blocks are distributed round-robin over the SMs, each
     /// SM is simulated independently with its own texture cache and DRAM
     /// bandwidth slice, and the launch time is the slowest SM.
-    pub fn launch<P, F>(
+    ///
+    /// SMs share nothing during a launch, so the host simulates them on up
+    /// to [`std::thread::available_parallelism`] threads, the calling
+    /// thread included. Results are merged in SM order and do not depend on
+    /// the thread count: an SM's loads see global memory as it stood at
+    /// launch start plus its own stores, and every SM's stores land, in SM
+    /// order, when the launch ends. CUDA orders nothing between blocks of
+    /// one launch without fences or atomics, which this device does not
+    /// model. `factory` runs on the calling thread, SM by SM in block
+    /// order, before any SM starts.
+    pub fn launch<P, F>(&mut self, lc: LaunchConfig, factory: F) -> Result<Launched<P>, DeviceError>
+    where
+        P: WarpProgram + Send,
+        F: FnMut(WarpGeometry) -> P,
+    {
+        let workers = std::thread::available_parallelism().map_or(1, |n| n.get());
+        self.launch_on(lc, factory, workers)
+    }
+
+    /// [`launch`](GpuDevice::launch) on at most `workers` host threads.
+    pub(crate) fn launch_on<P, F>(
         &mut self,
         lc: LaunchConfig,
         mut factory: F,
+        workers: usize,
     ) -> Result<Launched<P>, DeviceError>
     where
-        P: WarpProgram,
+        P: WarpProgram + Send,
         F: FnMut(WarpGeometry) -> P,
     {
         lc.validate(&self.cfg)?;
@@ -349,28 +372,87 @@ impl GpuDevice {
         if let Some(LaunchFault::Transient(fault)) = launch_fault {
             return Err(DeviceError::Fault(fault));
         }
-        let mut retired: Vec<(WarpGeometry, P)> = Vec::new();
+        let hooks = SmHooks {
+            trace: self.trace.as_deref().map(|tb| {
+                let cfg = *tb.config();
+                (cfg, cfg.max_events.saturating_sub(tb.len()))
+            }),
+            introspect: self.introspect.as_deref().map(|st| st.cfg),
+            attribution: self.attribution.as_deref().map(|st| st.cfg),
+        };
+        // Block b runs on SM b % num_sms, so SMs 0..busy have blocks. Their
+        // programs are built here rather than on the workers: state that
+        // outlives an SM is then allocated by the thread that frees it,
+        // which keeps the workers' malloc arenas small.
+        let (num_sms, warp_size) = (self.cfg.num_sms, self.cfg.warp_size);
+        let busy = num_sms.min(lc.grid_blocks);
+        let warps_per_block = lc.threads_per_block / warp_size;
+        let sm_warps: Vec<Vec<(WarpGeometry, P)>> = (0..busy)
+            .map(|sm| {
+                (sm..lc.grid_blocks)
+                    .step_by(num_sms as usize)
+                    .flat_map(|block_id| {
+                        (0..warps_per_block).map(move |warp_in_block| WarpGeometry {
+                            block_id,
+                            warp_in_block,
+                            warp_size,
+                            threads_per_block: lc.threads_per_block,
+                            grid_blocks: lc.grid_blocks,
+                        })
+                    })
+                    .map(|geom| (geom, factory(geom)))
+                    .collect()
+            })
+            .collect();
+        let (cfg, global) = (&self.cfg, &self.global);
+        let (textures, constants) = (&self.textures, &self.constants);
+        // Trace events SM k keeps are the device buffer's room minus every
+        // event SMs 0..k make. Events lower SMs have made so far bound that
+        // from above, so an SM stops building events no merge would keep.
+        // Relaxed is enough: any value read is a valid bound.
+        let made: Vec<AtomicUsize> = (0..busy).map(|_| AtomicUsize::new(0)).collect();
+        let runs = run_in_order(sm_warps, workers, |sm, warps| {
+            let mut hooks = hooks;
+            if let Some((_, room)) = hooks.trace.as_mut() {
+                let below: usize = made[..sm].iter().map(|m| m.load(Ordering::Relaxed)).sum();
+                *room = room.saturating_sub(below);
+            }
+            let run = run_sm(
+                cfg, global, textures, constants, &lc, sm as u32, warps, hooks,
+            );
+            if let Some(tb) = &run.trace {
+                made[sm].store(tb.len() + tb.dropped() as usize, Ordering::Relaxed);
+            }
+            run
+        });
+
+        let mut retired = Vec::with_capacity(runs.iter().map(|r| r.retired.len()).sum());
         let mut totals = SmStats::default();
         let mut per_sm_cycles = Vec::with_capacity(self.cfg.num_sms as usize);
         let mut per_sm = Vec::with_capacity(self.cfg.num_sms as usize);
-        for sm in 0..self.cfg.num_sms {
-            let block_ids: Vec<u32> = (sm..lc.grid_blocks)
-                .step_by(self.cfg.num_sms as usize)
-                .collect();
-            let sm_stats = run_sm(
-                &self.cfg,
-                &mut self.global,
-                &self.textures,
-                &self.constants,
-                &lc,
-                &block_ids,
-                &mut factory,
-                &mut retired,
-                sm,
-                self.trace.as_deref_mut(),
-                self.introspect.as_deref_mut(),
-                self.attribution.as_deref_mut(),
-            );
+        let mut runs = runs.into_iter();
+        for _ in 0..self.cfg.num_sms {
+            let sm_stats = match runs.next() {
+                Some(run) => {
+                    retired.extend(run.retired);
+                    run.stores.apply(&mut self.global);
+                    if let (Some(tb), Some(sm_tb)) = (self.trace.as_deref_mut(), run.trace) {
+                        tb.append(sm_tb);
+                    }
+                    if let (Some(st), Some(snap)) =
+                        (self.introspect.as_deref_mut(), run.introspection)
+                    {
+                        st.result.per_sm.push(snap);
+                    }
+                    if let (Some(st), Some(ledger)) =
+                        (self.attribution.as_deref_mut(), run.attribution)
+                    {
+                        st.result.per_sm.push(ledger);
+                    }
+                    run.stats
+                }
+                None => SmStats::default(),
+            };
             per_sm_cycles.push(sm_stats.cycles);
             totals.merge(&sm_stats);
             per_sm.push(sm_stats);
@@ -403,11 +485,56 @@ impl GpuDevice {
     }
 }
 
-impl GlobalMemory {
-    /// Consume into the raw byte vector (device resize helper).
-    fn into_bytes(self) -> Vec<u8> {
-        self.bytes().to_vec()
-    }
+/// Run `task(i, inputs[i])` for every input on up to `workers` threads,
+/// the caller being one of them, and return the results in input order.
+/// Threads claim inputs in index order from one counter. A panicking task
+/// is re-raised on the caller with its own payload; when several panic,
+/// the lowest index wins, which is the panic running the tasks one after
+/// another would raise.
+fn run_in_order<I: Send, T: Send>(
+    inputs: Vec<I>,
+    workers: usize,
+    task: impl Fn(usize, I) -> T + Sync,
+) -> Vec<T> {
+    let count = inputs.len();
+    let inputs: Vec<Mutex<Option<I>>> = inputs.into_iter().map(|i| Mutex::new(Some(i))).collect();
+    // Relaxed is enough: the counter only hands out indices, and each
+    // input reaches its worker through its own mutex.
+    let next = AtomicUsize::new(0);
+    let work = || {
+        let mut done = Vec::new();
+        loop {
+            let i = next.fetch_add(1, Ordering::Relaxed);
+            if i >= count {
+                return done;
+            }
+            let input = inputs[i]
+                .lock()
+                .expect("input slots are never poisoned")
+                .take()
+                .expect("each index is claimed once");
+            let result = panic::catch_unwind(AssertUnwindSafe(|| task(i, input)));
+            let failed = result.is_err();
+            done.push((i, result));
+            if failed {
+                // Every lower index is already claimed and will finish.
+                next.store(count, Ordering::Relaxed);
+                return done;
+            }
+        }
+    };
+    let mut done = std::thread::scope(|scope| {
+        let helpers: Vec<_> = (1..workers.min(count)).map(|_| scope.spawn(work)).collect();
+        let mut done = work();
+        for h in helpers {
+            done.extend(h.join().expect("workers catch their tasks' panics"));
+        }
+        done
+    });
+    done.sort_unstable_by_key(|&(i, _)| i);
+    done.into_iter()
+        .map(|(_, r)| r.unwrap_or_else(|payload| panic::resume_unwind(payload)))
+        .collect()
 }
 
 #[cfg(test)]
@@ -617,6 +744,9 @@ mod tests {
         let mut dev = GpuDevice::new(GpuConfig::tiny_test()).unwrap(); // 1 MB
         let data = Arc::new(vec![0u32; 200_000]); // 800 KB
         dev.bind_texture_2d(data.clone(), 1000, 200).unwrap();
+        // The texels are shared, not copied into the byte store.
+        assert_eq!(dev.global.len(), 0);
+        assert_eq!(dev.alloc_stats().live_bytes, 800_000);
         assert!(dev.bind_texture_2d(data, 1000, 200).is_err());
     }
 
@@ -787,5 +917,361 @@ mod tests {
             let got = u32::from_le_bytes(dev.read_global(out + b * 4, 4).try_into().unwrap());
             assert_eq!(got, b as u32);
         }
+    }
+
+    /// Four SMs of the tiny test device: enough for SMs to run on
+    /// different workers and for blocks to cycle through residency.
+    fn four_sm_device() -> GpuDevice {
+        GpuDevice::new(GpuConfig {
+            num_sms: 4,
+            ..GpuConfig::tiny_test()
+        })
+        .unwrap()
+    }
+
+    /// Per lane: label itself, fetch a texel chosen by its thread, read a
+    /// global byte, then store texel + byte. Touches the texture caches,
+    /// DRAM, attribution labels and the store log in one kernel.
+    struct TexWalk {
+        geom: WarpGeometry,
+        tex: TexId,
+        in_base: u64,
+        out_base: u64,
+        phase: u32,
+        texels: Vec<u32>,
+        bytes: Vec<u8>,
+    }
+
+    impl WarpProgram for TexWalk {
+        fn step(&mut self, ctx: &mut WarpCtx<'_>) -> StepOutcome {
+            let n = self.geom.warp_size as usize;
+            let thread = |l: usize| self.geom.global_thread(l as u32);
+            match self.phase {
+                0 => {
+                    let labels: Vec<Option<crate::LaneAttr>> = (0..n)
+                        .map(|l| Some(crate::LaneAttr::state((thread(l) % 5) as u32)))
+                        .collect();
+                    ctx.attribute(&labels);
+                    let coords: Vec<Option<(u32, u32)>> = (0..n)
+                        .map(|l| Some(((thread(l) * 7 % 64) as u32, (thread(l) % 16) as u32)))
+                        .collect();
+                    self.texels = vec![0; n];
+                    ctx.tex_fetch(self.tex, &coords, &mut self.texels);
+                }
+                1 => {
+                    let addrs: Vec<Option<u64>> =
+                        (0..n).map(|l| Some(self.in_base + thread(l))).collect();
+                    self.bytes = vec![0; n];
+                    ctx.global_read_u8(&addrs, &mut self.bytes);
+                }
+                _ => {
+                    let writes: Vec<Option<(u64, u32)>> = (0..n)
+                        .map(|l| {
+                            let v = self.texels[l] + self.bytes[l] as u32;
+                            Some((self.out_base + thread(l) * 4, v))
+                        })
+                        .collect();
+                    ctx.global_write_u32(&writes);
+                    return StepOutcome::Finished;
+                }
+            }
+            self.phase += 1;
+            StepOutcome::Continue
+        }
+    }
+
+    /// One fully hooked launch of each test kernel on `workers` threads:
+    /// stats, program order, global bytes and every hook's output.
+    fn hooked_launches(workers: usize) -> Vec<String> {
+        let lc = LaunchConfig {
+            grid_blocks: 11,
+            threads_per_block: 8,
+            shared_bytes_per_block: 64,
+            resident_blocks_cap: None,
+        };
+        let threads = 11 * 8;
+        let mut dev = four_sm_device();
+        dev.arm_trace(TraceConfig {
+            issues: true,
+            ..TraceConfig::default()
+        });
+        dev.arm_introspection(IntrospectConfig::default());
+        dev.arm_attribution(AttributionConfig::default());
+        let in_base = dev.alloc_global(threads).unwrap();
+        let out_base = dev.alloc_global(threads * 4).unwrap();
+        let input: Vec<u8> = (0..threads).map(|i| (i * 37 % 251) as u8).collect();
+        dev.write_global(in_base, &input);
+        let tex = dev
+            .bind_texture_2d(Arc::new((0..64 * 16).map(|i| i * 3).collect()), 64, 16)
+            .unwrap();
+        let mut out = Vec::new();
+        let round_trip = dev
+            .launch_on(
+                lc,
+                |geom| RoundTrip {
+                    geom,
+                    in_base,
+                    out_base,
+                    phase: 0,
+                    bytes: Vec::new(),
+                },
+                workers,
+            )
+            .unwrap();
+        out.push(format!("{:?}", round_trip.stats));
+        out.push(format!(
+            "{:?}",
+            round_trip
+                .programs
+                .iter()
+                .map(|(g, p)| (g.block_id, g.warp_in_block, p.bytes.clone()))
+                .collect::<Vec<_>>()
+        ));
+        let walk = dev
+            .launch_on(
+                lc,
+                |geom| TexWalk {
+                    geom,
+                    tex,
+                    in_base,
+                    out_base,
+                    phase: 0,
+                    texels: Vec::new(),
+                    bytes: Vec::new(),
+                },
+                workers,
+            )
+            .unwrap();
+        out.push(format!("{:?}", walk.stats));
+        out.push(format!(
+            "{:?}",
+            walk.programs
+                .iter()
+                .map(|(g, p)| (g.block_id, g.warp_in_block, p.texels.clone()))
+                .collect::<Vec<_>>()
+        ));
+        out.push(format!("{:?}", dev.read_global(0, dev.global.len())));
+        let trace = dev.take_trace().unwrap();
+        assert!(!trace.is_empty());
+        out.push(format!("{trace:?}"));
+        let introspection = dev.take_introspection().unwrap();
+        assert_eq!(introspection.per_sm.len(), 8, "4 busy SMs × 2 launches");
+        out.push(format!("{introspection:?}"));
+        let attribution = dev.take_attribution().unwrap();
+        assert!(attribution.state_cycles().iter().any(|&c| c > 0));
+        out.push(format!("{attribution:?}"));
+        out
+    }
+
+    #[test]
+    fn worker_count_changes_nothing_with_every_hook_armed() {
+        let one = hooked_launches(1);
+        for workers in [2, 3, 4, 8] {
+            let many = hooked_launches(workers);
+            for (what, (a, b)) in [
+                "round-trip stats",
+                "round-trip programs",
+                "tex-walk stats",
+                "tex-walk programs",
+                "global bytes",
+                "trace",
+                "introspection",
+                "attribution",
+            ]
+            .iter()
+            .zip(one.iter().zip(&many))
+            {
+                assert_eq!(a, b, "{what} differs with {workers} workers");
+            }
+        }
+    }
+
+    #[test]
+    fn trace_overflow_drops_the_same_events_on_any_worker_count() {
+        let run = |workers| {
+            let mut dev = four_sm_device();
+            dev.arm_trace(TraceConfig {
+                max_events: 40,
+                issues: true,
+                ..TraceConfig::default()
+            });
+            let lc = LaunchConfig {
+                grid_blocks: 9,
+                threads_per_block: 4,
+                shared_bytes_per_block: 0,
+                resident_blocks_cap: None,
+            };
+            for _ in 0..2 {
+                dev.launch_on(lc, |_| Noop, workers).unwrap();
+            }
+            dev.take_trace().unwrap()
+        };
+        let one = run(1);
+        assert!(one.dropped() > 0, "the bound must bite");
+        assert_eq!(run(4), one);
+    }
+
+    /// Stores `42 + block` to a per-block word, then loads it back.
+    struct StoreThenLoad {
+        geom: WarpGeometry,
+        out: u64,
+        seen: Option<u32>,
+    }
+
+    impl WarpProgram for StoreThenLoad {
+        fn step(&mut self, ctx: &mut WarpCtx<'_>) -> StepOutcome {
+            let n = self.geom.warp_size as usize;
+            let addr = self.out + self.geom.block_id as u64 * 4;
+            let mut lane0 = vec![None; n];
+            if self.seen.is_none() && self.geom.warp_in_block == 0 {
+                lane0[0] = Some((addr, 42 + self.geom.block_id));
+                ctx.global_write_u32(&lane0);
+                self.seen = Some(u32::MAX);
+                return StepOutcome::Continue;
+            }
+            let mut lane0 = vec![None; n];
+            lane0[0] = Some(addr);
+            let mut word = vec![0u32; n];
+            ctx.global_read_u32(&lane0, &mut word);
+            self.seen = Some(word[0]);
+            StepOutcome::Finished
+        }
+    }
+
+    #[test]
+    fn an_sm_reads_back_its_own_stores_within_a_launch() {
+        let mut dev = four_sm_device();
+        let out = dev.alloc_global(8 * 4).unwrap();
+        let lc = LaunchConfig {
+            grid_blocks: 8,
+            threads_per_block: 4,
+            shared_bytes_per_block: 0,
+            resident_blocks_cap: None,
+        };
+        let launched = dev
+            .launch_on(
+                lc,
+                |geom| StoreThenLoad {
+                    geom,
+                    out,
+                    seen: None,
+                },
+                4,
+            )
+            .unwrap();
+        for (geom, p) in &launched.programs {
+            assert_eq!(p.seen, Some(42 + geom.block_id), "block {}", geom.block_id);
+            let stored = dev.read_global(out + geom.block_id as u64 * 4, 4);
+            assert_eq!(stored, (42 + geom.block_id).to_le_bytes());
+        }
+    }
+
+    /// Panics in its first step on the listed blocks.
+    struct PanicOn {
+        geom: WarpGeometry,
+        blocks: &'static [u32],
+    }
+
+    impl WarpProgram for PanicOn {
+        fn step(&mut self, _ctx: &mut WarpCtx<'_>) -> StepOutcome {
+            if self.blocks.contains(&self.geom.block_id) {
+                panic!("kernel bug on block {}", self.geom.block_id);
+            }
+            StepOutcome::Finished
+        }
+    }
+
+    /// A panicking SM reaches the caller with its own message, and with
+    /// several, the lowest SM's — what running them in order would raise.
+    /// (The scheduler's own "SM deadlock" panic cannot be provoked by a
+    /// well-formed program: a warp that exits counts toward its block's
+    /// barrier, so the test panics inside a kernel step instead; both
+    /// travel the same path.)
+    #[test]
+    fn a_worker_panic_keeps_its_payload() {
+        let lc = LaunchConfig {
+            grid_blocks: 8,
+            threads_per_block: 4,
+            shared_bytes_per_block: 0,
+            resident_blocks_cap: None,
+        };
+        for (blocks, message) in [
+            (&[2u32][..], "kernel bug on block 2"),
+            (&[3, 1][..], "kernel bug on block 1"),
+            (&[7, 2][..], "kernel bug on block 2"),
+        ] {
+            for workers in [1, 4] {
+                let mut dev = four_sm_device();
+                let Err(payload) = std::panic::catch_unwind(AssertUnwindSafe(|| {
+                    dev.launch_on(lc, |geom| PanicOn { geom, blocks }, workers)
+                })) else {
+                    panic!("the kernel panics");
+                };
+                let got = payload
+                    .downcast_ref::<String>()
+                    .expect("panic! with arguments carries a String");
+                assert_eq!(got, message, "{workers} workers, panics on {blocks:?}");
+            }
+        }
+    }
+
+    /// Per-task "finished" flags that a task can wait on, to force which
+    /// worker runs what.
+    struct Finished(Mutex<Vec<bool>>, std::sync::Condvar);
+
+    impl Finished {
+        fn new(n: usize) -> Self {
+            Finished(Mutex::new(vec![false; n]), std::sync::Condvar::new())
+        }
+        fn set(&self, i: usize) {
+            self.0.lock().expect("test lock")[i] = true;
+            self.1.notify_all();
+        }
+        fn wait(&self, i: usize) {
+            let mut done = self.0.lock().expect("test lock");
+            while !done[i] {
+                done = self.1.wait(done).expect("test lock");
+            }
+        }
+    }
+
+    #[test]
+    fn run_in_order_returns_results_in_input_order() {
+        // Task 0 waits for task 1 and task 2 for task 0, so two workers
+        // each finish tasks out of input order.
+        for workers in [2, 3] {
+            let finished = Finished::new(12);
+            let out = run_in_order((0..12u32).collect(), workers, |i, x| {
+                match i {
+                    0 => finished.wait(1),
+                    2 => finished.wait(0),
+                    _ => {}
+                }
+                finished.set(i);
+                (i, x * 2)
+            });
+            let want: Vec<(usize, u32)> = (0..12).map(|i| (i as usize, i as u32 * 2)).collect();
+            assert_eq!(out, want, "{workers} workers");
+        }
+    }
+
+    #[test]
+    fn run_in_order_reraises_the_lowest_panic_with_its_payload() {
+        // Task 5 panics first; task 3 waits for it, then panics too.
+        let finished = Finished::new(12);
+        let Err(payload) = std::panic::catch_unwind(AssertUnwindSafe(|| {
+            run_in_order((0..12).collect(), 2, |i, x: u32| {
+                if i == 3 {
+                    finished.wait(5);
+                }
+                finished.set(i);
+                assert!(i != 3 && i != 5, "task {i} failed");
+                x
+            })
+        })) else {
+            panic!("tasks 3 and 5 panic");
+        };
+        let got = payload.downcast_ref::<String>().expect("formatted payload");
+        assert_eq!(got, "task 3 failed");
     }
 }

@@ -67,6 +67,136 @@ impl GlobalMemory {
     pub fn bytes(&self) -> &[u8] {
         &self.data
     }
+
+    /// Copy host bytes in at `addr`, in place.
+    pub fn write(&mut self, addr: u64, bytes: &[u8]) {
+        let a = addr as usize;
+        self.data[a..a + bytes.len()].copy_from_slice(bytes);
+    }
+
+    /// Grow to at least `len` bytes; new bytes read as zero.
+    pub fn grow(&mut self, len: usize) {
+        if len > self.data.len() {
+            self.data.resize(len, 0);
+        }
+    }
+}
+
+/// Bytes per page of a [`StoreLog`].
+const STORE_PAGE: usize = 4096;
+
+/// One SM's global stores during a launch, kept as written bytes over the
+/// launch-start image. The SM's own loads see the image overlaid with
+/// these stores; other SMs see them only when the device applies every
+/// SM's log, in SM order, at the end of the launch. Within an SM the last
+/// store to a byte wins, so applying the logs in SM order leaves memory
+/// exactly as running the SMs one after another would.
+///
+/// Memory is bounded by the pages written, not by the number of stores:
+/// the AC kernels rewrite one result word per thread many times over.
+#[derive(Debug, Default)]
+pub(crate) struct StoreLog {
+    /// Written pages, sorted by page number.
+    pages: Vec<(u64, Box<StorePage>)>,
+    /// Index into `pages` of the page touched last; stores cluster.
+    last: usize,
+    /// Byte range `[lo, hi)` spanning every store. Loads outside it read
+    /// the image directly, which is every input load of the AC kernels.
+    lo: u64,
+    hi: u64,
+}
+
+#[derive(Debug)]
+struct StorePage {
+    bytes: [u8; STORE_PAGE],
+    written: [u64; STORE_PAGE / 64],
+}
+
+impl StoreLog {
+    /// Log a little-endian 32-bit store. Panics when it falls past the end
+    /// of `image`, as a store straight into device memory would.
+    pub(crate) fn write_u32(&mut self, image: &GlobalMemory, addr: u64, value: u32) {
+        let end = addr + 4;
+        assert!(
+            end <= image.len() as u64,
+            "global store at {addr:#x} past the end of device memory ({} bytes)",
+            image.len()
+        );
+        if self.lo == self.hi {
+            (self.lo, self.hi) = (addr, end);
+        } else {
+            (self.lo, self.hi) = (self.lo.min(addr), self.hi.max(end));
+        }
+        for (i, b) in value.to_le_bytes().into_iter().enumerate() {
+            let a = addr + i as u64;
+            let off = a as usize % STORE_PAGE;
+            let page = self.page_mut(a / STORE_PAGE as u64);
+            page.bytes[off] = b;
+            page.written[off / 64] |= 1 << (off % 64);
+        }
+    }
+
+    fn page_mut(&mut self, page: u64) -> &mut StorePage {
+        if self.pages.get(self.last).is_none_or(|(p, _)| *p != page) {
+            self.last = match self.pages.binary_search_by_key(&page, |(p, _)| *p) {
+                Ok(i) => i,
+                Err(i) => {
+                    let fresh = StorePage {
+                        bytes: [0; STORE_PAGE],
+                        written: [0; STORE_PAGE / 64],
+                    };
+                    self.pages.insert(i, (page, Box::new(fresh)));
+                    i
+                }
+            };
+        }
+        &mut self.pages[self.last].1
+    }
+
+    fn written_u8(&self, addr: u64) -> Option<u8> {
+        if addr < self.lo || addr >= self.hi {
+            return None;
+        }
+        let off = addr as usize % STORE_PAGE;
+        let i = self
+            .pages
+            .binary_search_by_key(&(addr / STORE_PAGE as u64), |(p, _)| *p)
+            .ok()?;
+        let page = &self.pages[i].1;
+        (page.written[off / 64] >> (off % 64) & 1 == 1).then_some(page.bytes[off])
+    }
+
+    /// Read one byte as this SM sees it.
+    #[inline]
+    pub(crate) fn read_u8(&self, image: &GlobalMemory, addr: u64) -> u8 {
+        self.written_u8(addr).unwrap_or_else(|| image.read_u8(addr))
+    }
+
+    /// Read a little-endian 32-bit word as this SM sees it.
+    #[inline]
+    pub(crate) fn read_u32(&self, image: &GlobalMemory, addr: u64) -> u32 {
+        if addr + 4 <= self.lo || addr >= self.hi {
+            return image.read_u32(addr);
+        }
+        u32::from_le_bytes(std::array::from_fn(|i| {
+            self.read_u8(image, addr + i as u64)
+        }))
+    }
+
+    /// Write every logged byte into `mem`.
+    pub(crate) fn apply(self, mem: &mut GlobalMemory) {
+        for (page, p) in self.pages {
+            let base = page as usize * STORE_PAGE;
+            for (w, &bits) in p.written.iter().enumerate() {
+                let mut bits = bits;
+                while bits != 0 {
+                    let off = w * 64 + bits.trailing_zeros() as usize;
+                    mem.data[base + off] = p.bytes[off];
+                    bits &= bits - 1;
+                }
+            }
+        }
+    }
 }
 
 /// One coalesced DRAM transaction: `(segment base address, size in bytes)`.
@@ -212,5 +342,34 @@ mod tests {
         assert!(!g.is_empty());
         let g2 = GlobalMemory::from_bytes(vec![7, 8]);
         assert_eq!(g2.read_u8(1), 8);
+    }
+
+    #[test]
+    fn store_log_overlays_the_image_until_applied() {
+        let mut image =
+            GlobalMemory::from_bytes((0..=255u8).cycle().take(3 * STORE_PAGE).collect());
+        let mut log = StoreLog::default();
+        // A word straddling a page boundary, then an overwrite of its
+        // upper half: the last store to a byte wins.
+        let edge = STORE_PAGE as u64 - 2;
+        log.write_u32(&image, edge, 0x0403_0201);
+        log.write_u32(&image, edge + 2, 0xBBAA);
+        assert_eq!(log.read_u32(&image, edge), 0xBBAA_0201);
+        assert_eq!(log.read_u8(&image, edge + 5), 0);
+        assert_eq!(log.read_u8(&image, edge + 6), image.read_u8(edge + 6));
+        // Outside the written range the image shows through.
+        assert_eq!(log.read_u32(&image, 8), image.read_u32(8));
+        assert_eq!(image.read_u32(edge), u32::from_le_bytes([254, 255, 0, 1]));
+        log.apply(&mut image);
+        assert_eq!(image.read_u32(edge), 0xBBAA_0201);
+        assert_eq!(image.read_u32(edge + 2), 0xBBAA);
+        assert_eq!(image.read_u8(edge - 1), 253);
+    }
+
+    #[test]
+    #[should_panic(expected = "past the end of device memory")]
+    fn store_log_rejects_out_of_bounds_stores() {
+        let image = GlobalMemory::new(8);
+        StoreLog::default().write_u32(&image, 6, 1);
     }
 }

@@ -14,7 +14,7 @@
 use crate::attrib::{LaneAttr, SmAttrSink};
 use crate::config::GpuConfig;
 use crate::constant::{broadcast_degree, ConstId, ConstantBuffer};
-use crate::global::{coalesce_halfwarp, GlobalMemory};
+use crate::global::{coalesce_halfwarp, GlobalMemory, StoreLog};
 use crate::introspect::SmProbe;
 use crate::shared::{conflict_passes, conflict_passes_profiled, SharedMemory};
 use crate::stats::SmStats;
@@ -93,7 +93,10 @@ pub struct StepCost {
 /// plus the current cycle. Created by the scheduler per step.
 pub struct WarpCtx<'a> {
     pub(crate) cfg: &'a GpuConfig,
-    pub(crate) global: &'a mut GlobalMemory,
+    /// Global memory as it stood when the launch began.
+    pub(crate) global: &'a GlobalMemory,
+    /// This SM's stores since then, which its own loads see.
+    pub(crate) stores: &'a mut StoreLog,
     pub(crate) shared: &'a mut SharedMemory,
     pub(crate) textures: &'a [Texture2d],
     pub(crate) constants: &'a [ConstantBuffer],
@@ -118,7 +121,8 @@ impl<'a> WarpCtx<'a> {
     #[allow(clippy::too_many_arguments)] // internal constructor mirroring the SM's memory system
     pub(crate) fn new(
         cfg: &'a GpuConfig,
-        global: &'a mut GlobalMemory,
+        global: &'a GlobalMemory,
+        stores: &'a mut StoreLog,
         shared: &'a mut SharedMemory,
         textures: &'a [Texture2d],
         constants: &'a [ConstantBuffer],
@@ -135,6 +139,7 @@ impl<'a> WarpCtx<'a> {
         WarpCtx {
             cfg,
             global,
+            stores,
             shared,
             textures,
             constants,
@@ -211,20 +216,20 @@ impl<'a> WarpCtx<'a> {
     /// `addrs[lane] = None` for inactive lanes; `out[lane]` receives the
     /// byte for active lanes and is untouched otherwise.
     pub fn global_read_u8(&mut self, addrs: &[Option<u64>], out: &mut [u8]) {
-        self.global_read(addrs, 1, |g, a, lane| out[lane] = g.read_u8(a));
+        self.global_read(addrs, 1, |g, s, a, lane| out[lane] = s.read_u8(g, a));
     }
 
     /// Coalesced global loads of one 32-bit word per active lane (the
     /// paper's staging loop reads "four bytes (32-bit word) at one time").
     pub fn global_read_u32(&mut self, addrs: &[Option<u64>], out: &mut [u32]) {
-        self.global_read(addrs, 4, |g, a, lane| out[lane] = g.read_u32(a));
+        self.global_read(addrs, 4, |g, s, a, lane| out[lane] = s.read_u32(g, a));
     }
 
     fn global_read(
         &mut self,
         addrs: &[Option<u64>],
         width: u32,
-        mut apply: impl FnMut(&GlobalMemory, u64, usize),
+        mut apply: impl FnMut(&GlobalMemory, &StoreLog, u64, usize),
     ) {
         self.note_mem_op();
         let mut scratch: Vec<(u64, u32)> = Vec::with_capacity(self.cfg.half_warp() as usize);
@@ -233,7 +238,7 @@ impl<'a> WarpCtx<'a> {
             scratch.clear();
             for lane in hw {
                 if let Some(a) = addrs[lane] {
-                    apply(self.global, a, lane);
+                    apply(self.global, self.stores, a, lane);
                     scratch.push((a, width));
                 }
             }
@@ -257,6 +262,8 @@ impl<'a> WarpCtx<'a> {
     /// Global stores of 32-bit words. Fire-and-forget (GPU store buffers):
     /// the warp does not stall, but the transactions consume DRAM
     /// bandwidth, so heavy result writing still shows up in the timing.
+    /// Later loads on this SM see the stores at once; other SMs see them
+    /// when the launch ends.
     pub fn global_write_u32(&mut self, writes: &[Option<(u64, u32)>]) {
         self.note_mem_op();
         let mut scratch: Vec<(u64, u32)> = Vec::with_capacity(self.cfg.half_warp() as usize);
@@ -264,7 +271,7 @@ impl<'a> WarpCtx<'a> {
             scratch.clear();
             for lane in hw {
                 if let Some((a, v)) = writes[lane] {
-                    self.global.write_u32(a, v);
+                    self.stores.write_u32(self.global, a, v);
                     scratch.push((a, 4));
                 }
             }
@@ -459,6 +466,7 @@ mod tests {
     struct Rig {
         cfg: GpuConfig,
         global: GlobalMemory,
+        stores: StoreLog,
         shared: SharedMemory,
         textures: Vec<Texture2d>,
         constants: Vec<ConstantBuffer>,
@@ -475,6 +483,7 @@ mod tests {
             Rig {
                 cfg,
                 global: GlobalMemory::from_bytes((0..=255u8).cycle().take(4096).collect()),
+                stores: StoreLog::default(),
                 shared: SharedMemory::new(4096, cfg.shared_banks),
                 textures: vec![Texture2d::new(Arc::new((0..64u32 * 16).collect()), 64, 16)],
                 constants: vec![ConstantBuffer::new(Arc::new((0..256u32).collect())).unwrap()],
@@ -492,7 +501,8 @@ mod tests {
         fn ctx(&mut self, now: Cycle) -> WarpCtx<'_> {
             WarpCtx::new(
                 &self.cfg,
-                &mut self.global,
+                &self.global,
+                &mut self.stores,
                 &mut self.shared,
                 &self.textures,
                 &self.constants,
@@ -510,7 +520,8 @@ mod tests {
         fn attr_ctx<'a>(&'a mut self, sink: &'a mut SmAttrSink, now: Cycle) -> WarpCtx<'a> {
             WarpCtx::new(
                 &self.cfg,
-                &mut self.global,
+                &self.global,
+                &mut self.stores,
                 &mut self.shared,
                 &self.textures,
                 &self.constants,
@@ -528,7 +539,8 @@ mod tests {
         fn probed_ctx<'a>(&'a mut self, probe: &'a mut SmProbe, now: Cycle) -> WarpCtx<'a> {
             WarpCtx::new(
                 &self.cfg,
-                &mut self.global,
+                &self.global,
+                &mut self.stores,
                 &mut self.shared,
                 &self.textures,
                 &self.constants,
@@ -660,7 +672,9 @@ mod tests {
         let cost = ctx.into_cost();
         // Ready immediately after issue despite 32 transactions.
         assert_eq!(cost.ready_at, rig.cfg.issue_cycles as Cycle);
-        assert_eq!(rig.global.read_u32(512), 9);
+        assert_eq!(rig.stores.read_u32(&rig.global, 512), 9);
+        // The image itself changes only when the launch ends.
+        assert_eq!(rig.global.read_u32(512), u32::from_le_bytes([0, 1, 2, 3]));
     }
 
     #[test]

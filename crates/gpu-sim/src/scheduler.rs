@@ -14,18 +14,18 @@
 //! next pending block is activated in its place, reusing the hardware the
 //! way a real GT200 does.
 
-use crate::attrib::{AttributionState, LaneAttr, SmAttrSink};
+use crate::attrib::{AttributionConfig, LaneAttr, SmAttrSink, SmAttribution};
 use crate::config::GpuConfig;
 use crate::constant::ConstantBuffer;
 use crate::device::LaunchConfig;
-use crate::global::GlobalMemory;
-use crate::introspect::{IntrospectState, SmIntrospection, SmProbe};
+use crate::global::{GlobalMemory, StoreLog};
+use crate::introspect::{IntrospectConfig, SmIntrospection, SmProbe};
 use crate::kernel::{StepOutcome, WarpCtx, WarpGeometry, WarpProgram};
 use crate::shared::SharedMemory;
 use crate::stats::SmStats;
 use crate::texture::Texture2d;
 use mem_sim::{Cache, Cycle, DramChannel};
-use trace::{ArgValue, StallReason, TraceBuffer, PID_DEVICE};
+use trace::{ArgValue, StallReason, TraceBuffer, TraceConfig, PID_DEVICE};
 
 /// Trace track offset separating each SM's DRAM-channel events from its
 /// scheduler events (same pid, distinct tid lane).
@@ -59,85 +59,103 @@ struct ActiveBlock {
     at_barrier: u32,
 }
 
-/// Simulate one SM executing `block_ids` of the launch. Returns the SM's
-/// statistics; finished warp programs are appended to `retired` for
-/// host-side result extraction. When `trace` is armed, scheduler and DRAM
-/// events are recorded against SM `sm_id`'s tracks — recording never feeds
-/// back into timing, so traced and untraced runs produce identical stats.
+/// The observation hooks armed on the device, as one SM needs them. Each
+/// SM records into sinks of its own; the device merges them in SM order.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct SmHooks {
+    /// The device's trace filters, and how many more events its buffer
+    /// takes before it drops.
+    pub trace: Option<(TraceConfig, usize)>,
+    pub introspect: Option<IntrospectConfig>,
+    pub attribution: Option<AttributionConfig>,
+}
+
+/// Everything one SM produced in a launch. Nothing here is shared with
+/// another SM, so SMs can run on different host threads.
+pub(crate) struct SmRun<P> {
+    pub stats: SmStats,
+    /// Finished warp programs, in retirement order.
+    pub retired: Vec<(WarpGeometry, P)>,
+    /// Global stores, applied by the device when the launch ends.
+    pub stores: StoreLog,
+    pub trace: Option<TraceBuffer>,
+    pub introspection: Option<SmIntrospection>,
+    pub attribution: Option<SmAttribution>,
+}
+
+/// Simulate SM `sm_id` executing its share of the launch. `warps` holds
+/// the programs of its blocks (at least one), block after block in
+/// activation order, each block's warps in order. Loads see `global` as
+/// it stood at launch start plus this SM's own stores. Armed hooks record
+/// against SM `sm_id`'s tracks — recording never feeds back into timing,
+/// so hooked and unhooked runs produce identical stats.
 #[allow(clippy::too_many_arguments)] // the SM's full memory system is threaded through explicitly
-pub(crate) fn run_sm<P, F>(
+pub(crate) fn run_sm<P: WarpProgram>(
     cfg: &GpuConfig,
-    global: &mut GlobalMemory,
+    global: &GlobalMemory,
     textures: &[Texture2d],
     constants: &[ConstantBuffer],
     lc: &LaunchConfig,
-    block_ids: &[u32],
-    factory: &mut F,
-    retired: &mut Vec<(WarpGeometry, P)>,
     sm_id: u32,
-    mut trace: Option<&mut TraceBuffer>,
-    introspect: Option<&mut IntrospectState>,
-    attribution: Option<&mut AttributionState>,
-) -> SmStats
-where
-    P: WarpProgram,
-    F: FnMut(WarpGeometry) -> P,
-{
+    warps: Vec<(WarpGeometry, P)>,
+    hooks: SmHooks,
+) -> SmRun<P> {
+    let warps_per_block = (lc.threads_per_block / cfg.warp_size) as usize;
+    let block_count = warps.len() / warps_per_block;
+    debug_assert!(block_count > 0, "SM {sm_id} has no blocks");
     let mut stats = SmStats::default();
-    if block_ids.is_empty() {
-        return stats;
-    }
-    let warps_per_block = lc.threads_per_block / cfg.warp_size;
-    let resident_blocks = lc.resident_blocks_per_sm(cfg).min(block_ids.len() as u32) as usize;
+    let mut retired = Vec::with_capacity(warps.len());
+    let mut stores = StoreLog::default();
+    let resident_blocks = (lc.resident_blocks_per_sm(cfg) as usize).min(block_count);
 
     let mut tex_cache = Cache::new(cfg.tex_cache);
     let mut tex_l2 = Cache::new(cfg.tex_l2);
     let mut const_cache = Cache::new(cfg.const_cache);
     let mut dram = DramChannel::new(cfg.dram);
-    if let Some(tb) = trace.as_deref_mut() {
-        if tb.config().dram {
-            dram.enable_log(tb.config().max_events);
+    let mut trace = hooks.trace.map(|(tcfg, room)| {
+        if tcfg.dram {
+            dram.enable_log(tcfg.max_events);
         }
-    }
+        TraceBuffer::new(TraceConfig {
+            max_events: room,
+            ..tcfg
+        })
+    });
     // Armed introspection: turn on the spatial collectors. None of them
     // feeds back into timing (pure counters/logs), so the disarmed path
     // stays the bit-identical baseline.
-    let mut probe = introspect.as_ref().map(|st| {
+    let mut probe = hooks.introspect.map(|icfg| {
         tex_cache.enable_set_profile();
         tex_l2.enable_set_profile();
-        dram.enable_busy_tracking(st.cfg.max_busy_intervals);
+        dram.enable_busy_tracking(icfg.max_busy_intervals);
         SmProbe::new(cfg, textures)
     });
     // Armed attribution: the per-SM ledger the kernel labels feed. Like
     // the probe, it observes without feeding back into timing.
-    let mut attr_sink = attribution
-        .as_ref()
-        .map(|st| SmAttrSink::new(&st.cfg, cfg.warp_size));
+    let mut attr_sink = hooks
+        .attribution
+        .map(|acfg| SmAttrSink::new(&acfg, cfg.warp_size));
 
-    let mut pending = block_ids.iter().copied();
+    let mut pending = warps.into_iter();
     let mut blocks: Vec<ActiveBlock> = Vec::with_capacity(resident_blocks);
     let mut slots: Vec<WarpSlot<P>> = Vec::new();
     // Indices of live (not finished) slots, scanned round-robin.
     let mut live: Vec<usize> = Vec::new();
 
-    let activate = |block_id: u32,
-                    block_slot: usize,
+    // Make the next pending block resident in `block_slot`; None when
+    // every block has been activated.
+    let activate = |block_slot: usize,
+                    pending: &mut std::vec::IntoIter<(WarpGeometry, P)>,
                     slots: &mut Vec<WarpSlot<P>>,
                     live: &mut Vec<usize>,
-                    factory: &mut F,
                     now: Cycle,
                     trace: Option<&mut TraceBuffer>|
-     -> ActiveBlock {
-        for w in 0..warps_per_block {
-            let geom = WarpGeometry {
-                block_id,
-                warp_in_block: w,
-                warp_size: cfg.warp_size,
-                threads_per_block: lc.threads_per_block,
-                grid_blocks: lc.grid_blocks,
-            };
+     -> Option<ActiveBlock> {
+        let mut block_id = None;
+        for (geom, program) in pending.by_ref().take(warps_per_block) {
+            block_id = Some(geom.block_id);
             slots.push(WarpSlot {
-                program: Some(factory(geom)),
+                program: Some(program),
                 geom,
                 ready_at: now,
                 run: WarpRun::Ready,
@@ -147,6 +165,7 @@ where
             });
             live.push(slots.len() - 1);
         }
+        let block_id = block_id?;
         if let Some(tb) = trace {
             if tb.config().scheduler {
                 tb.instant(
@@ -159,26 +178,16 @@ where
                 );
             }
         }
-        ActiveBlock {
+        Some(ActiveBlock {
             shared: SharedMemory::new(lc.shared_bytes_per_block, cfg.shared_banks),
-            alive_warps: warps_per_block,
+            alive_warps: warps_per_block as u32,
             at_barrier: 0,
-        }
+        })
     };
 
     for slot in 0..resident_blocks {
-        let id = pending
-            .next()
+        let ab = activate(slot, &mut pending, &mut slots, &mut live, 0, trace.as_mut())
             .expect("resident_blocks bounded by block count");
-        let ab = activate(
-            id,
-            slot,
-            &mut slots,
-            &mut live,
-            factory,
-            0,
-            trace.as_deref_mut(),
-        );
         blocks.push(ab);
     }
 
@@ -224,7 +233,7 @@ where
                         // step was working on.
                         sink.charge_labels(&slots[ender].attr_last, gap);
                     }
-                    if let Some(tb) = trace.as_deref_mut() {
+                    if let Some(tb) = trace.as_mut() {
                         if tb.config().scheduler {
                             tb.stall(sm_id, now, gap, reason);
                         }
@@ -256,6 +265,7 @@ where
             let mut ctx = WarpCtx::new(
                 cfg,
                 global,
+                &mut stores,
                 &mut block.shared,
                 textures,
                 constants,
@@ -285,7 +295,7 @@ where
         issue_free = now + cost.issue as Cycle;
         slots[slot_idx].ready_at = cost.ready_at.max(issue_free);
         slots[slot_idx].wait = cost.stall;
-        if let Some(tb) = trace.as_deref_mut() {
+        if let Some(tb) = trace.as_mut() {
             if tb.config().issues {
                 let geom = slots[slot_idx].geom;
                 tb.instant(
@@ -336,16 +346,14 @@ where
                 if block.alive_warps == 0 {
                     // Retire the block; activate the next pending one in
                     // this residency slot.
-                    if let Some(next_id) = pending.next() {
-                        let ab = activate(
-                            next_id,
-                            block_slot,
-                            &mut slots,
-                            &mut live,
-                            factory,
-                            now,
-                            trace.as_deref_mut(),
-                        );
+                    if let Some(ab) = activate(
+                        block_slot,
+                        &mut pending,
+                        &mut slots,
+                        &mut live,
+                        now,
+                        trace.as_mut(),
+                    ) {
                         blocks[block_slot] = ab;
                     }
                 } else {
@@ -360,7 +368,7 @@ where
         // Account for in-flight memory of the final instructions.
         slots.iter().map(|s| s.ready_at).max().unwrap_or(0),
     );
-    if let Some(tb) = trace {
+    if let Some(tb) = trace.as_mut() {
         if tb.config().scheduler {
             tb.span(
                 "sm",
@@ -370,7 +378,7 @@ where
                 0,
                 stats.cycles,
                 vec![
-                    ("blocks".to_string(), ArgValue::U64(block_ids.len() as u64)),
+                    ("blocks".to_string(), ArgValue::U64(block_count as u64)),
                     (
                         "instructions".to_string(),
                         ArgValue::U64(stats.instructions),
@@ -399,34 +407,33 @@ where
             }
         }
     }
-    if let Some(st) = attribution {
-        let sink = attr_sink.take().expect("sink exists whenever armed");
-        // Every advance of the clock was either an issue slot (charged at
-        // step time) or an idle gap (charged at jump time); what remains
-        // is the in-flight memory drain past the final issue.
-        let busy = now.max(issue_free);
-        st.result
-            .per_sm
-            .push(sink.finish(sm_id, stats.cycles - busy, stats.cycles));
+    // Every advance of the clock was either an issue slot (charged at step
+    // time) or an idle gap (charged at jump time); what remains is the
+    // in-flight memory drain past the final issue.
+    let busy = now.max(issue_free);
+    let attribution = attr_sink.map(|sink| sink.finish(sm_id, stats.cycles - busy, stats.cycles));
+    let introspection = probe.map(|probe| SmIntrospection {
+        sm: sm_id,
+        tex_l1: tex_cache.stats(),
+        tex_l1_sets: tex_cache.set_profile().unwrap_or_default().to_vec(),
+        tex_l2: tex_l2.stats(),
+        tex_l2_sets: tex_l2.set_profile().unwrap_or_default().to_vec(),
+        tex_resident_lines: tex_cache.resident_lines(),
+        banks: probe.banks,
+        dram_busy: dram.take_busy_intervals(),
+        row_fetches: probe.row_fetches,
+        tex_fetches: probe.tex_fetches,
+        tex_l1_hits: probe.tex_l1_hits,
+        tex_l2_hits: probe.tex_l2_hits,
+    });
+    SmRun {
+        stats,
+        retired,
+        stores,
+        trace,
+        introspection,
+        attribution,
     }
-    if let Some(st) = introspect {
-        let probe = probe.take().expect("probe exists whenever armed");
-        st.result.per_sm.push(SmIntrospection {
-            sm: sm_id,
-            tex_l1: tex_cache.stats(),
-            tex_l1_sets: tex_cache.set_profile().unwrap_or_default().to_vec(),
-            tex_l2: tex_l2.stats(),
-            tex_l2_sets: tex_l2.set_profile().unwrap_or_default().to_vec(),
-            tex_resident_lines: tex_cache.resident_lines(),
-            banks: probe.banks,
-            dram_busy: dram.take_busy_intervals(),
-            row_fetches: probe.row_fetches,
-            tex_fetches: probe.tex_fetches,
-            tex_l1_hits: probe.tex_l1_hits,
-            tex_l2_hits: probe.tex_l2_hits,
-        });
-    }
-    stats
 }
 
 fn maybe_release_barrier<P>(

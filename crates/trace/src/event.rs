@@ -199,11 +199,20 @@ impl TraceBuffer {
 
     /// Push a fully-formed event, honouring the buffer bound.
     pub fn push(&mut self, ev: TraceEvent) {
-        if self.events.len() >= self.cfg.max_events {
-            self.dropped += 1;
-        } else {
+        if !self.drop_if_full() {
             self.events.push(ev);
         }
+    }
+
+    /// Count one dropped event when the buffer is full. The helpers below
+    /// check this before building an event, so a full buffer costs no
+    /// allocation.
+    fn drop_if_full(&mut self) -> bool {
+        let full = self.events.len() >= self.cfg.max_events;
+        if full {
+            self.dropped += 1;
+        }
+        full
     }
 
     /// Record a duration span.
@@ -218,7 +227,10 @@ impl TraceBuffer {
         dur: Cycle,
         args: Vec<(String, ArgValue)>,
     ) {
-        self.push(TraceEvent {
+        if self.drop_if_full() {
+            return;
+        }
+        self.events.push(TraceEvent {
             name: name.to_string(),
             cat: cat.to_string(),
             ph: Phase::Complete,
@@ -240,7 +252,10 @@ impl TraceBuffer {
         ts: Cycle,
         args: Vec<(String, ArgValue)>,
     ) {
-        self.push(TraceEvent {
+        if self.drop_if_full() {
+            return;
+        }
+        self.events.push(TraceEvent {
             name: name.to_string(),
             cat: cat.to_string(),
             ph: Phase::Instant,
@@ -254,7 +269,10 @@ impl TraceBuffer {
 
     /// Record a sampled counter value.
     pub fn counter(&mut self, name: &str, cat: &str, pid: u32, tid: u32, ts: Cycle, value: u64) {
-        self.push(TraceEvent {
+        if self.drop_if_full() {
+            return;
+        }
+        self.events.push(TraceEvent {
             name: name.to_string(),
             cat: cat.to_string(),
             ph: Phase::Counter,
@@ -268,6 +286,9 @@ impl TraceBuffer {
 
     /// Record an idle gap attributed to `reason` on SM `sm`.
     pub fn stall(&mut self, sm: u32, ts: Cycle, dur: Cycle, reason: StallReason) {
+        if self.drop_if_full() {
+            return;
+        }
         self.span(
             "warp-stall",
             "sched",
@@ -280,6 +301,22 @@ impl TraceBuffer {
                 ArgValue::Str(reason.label().to_string()),
             )],
         );
+    }
+
+    /// Move `other`'s events onto the end of this buffer, honouring this
+    /// buffer's bound. `other`'s drop count carries over, so appending
+    /// per-producer buffers in order records and drops exactly what
+    /// pushing every event here in that order would have.
+    pub fn append(&mut self, mut other: TraceBuffer) {
+        let room = self.cfg.max_events.saturating_sub(self.events.len());
+        let kept = other.events.len().min(room);
+        self.dropped += (other.events.len() - kept) as u64 + other.dropped;
+        other.events.truncate(kept);
+        if self.events.is_empty() {
+            self.events = other.events;
+        } else {
+            self.events.append(&mut other.events);
+        }
     }
 
     /// Append `other`'s events shifted forward by `offset` cycles. Used by
@@ -360,6 +397,31 @@ mod tests {
         assert_eq!(a.len(), 2);
         assert_eq!(a.events()[1].ts, 110);
         assert_eq!(a.dropped(), 1);
+    }
+
+    #[test]
+    fn append_in_order_equals_pushing_in_order() {
+        let cfg = TraceConfig {
+            max_events: 4,
+            ..Default::default()
+        };
+        let mut direct = TraceBuffer::new(cfg);
+        direct.instant("pre", "t", PID_HOST, 0, 0, Vec::new());
+        let mut merged = direct.clone();
+        let room = cfg.max_events - merged.len();
+        for producer in 0..3u64 {
+            let mut part = TraceBuffer::new(TraceConfig {
+                max_events: room,
+                ..cfg
+            });
+            for ts in 0..producer + 1 {
+                direct.instant("e", "t", PID_HOST, producer as u32, ts, Vec::new());
+                part.instant("e", "t", PID_HOST, producer as u32, ts, Vec::new());
+            }
+            merged.append(part);
+        }
+        assert_eq!(merged, direct);
+        assert_eq!(merged.dropped(), 3);
     }
 
     #[test]
