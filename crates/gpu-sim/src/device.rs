@@ -19,6 +19,15 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use trace::{TraceBuffer, TraceConfig};
 
+/// Busy SMs a launch needs per host thread; with fewer it uses fewer
+/// threads. Every thread that joins a launch is a cross-core hand-off,
+/// and the launch waits for its slowest thread. A launch with a few busy
+/// SMs (a 16 KB serving job fills two or three, each about 1 ms of host
+/// time) has no other SMs to even out a thread that stalls, so on a
+/// shared host its time swings with whether the other core is free. The
+/// large scans, with all 30 SMs busy, still use two cores or more.
+const MIN_SMS_PER_WORKER: usize = 8;
+
 /// Grid/block geometry of one kernel launch.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct LaunchConfig {
@@ -337,20 +346,23 @@ impl GpuDevice {
     ///
     /// SMs share nothing during a launch, so the host simulates them on up
     /// to [`std::thread::available_parallelism`] threads, the calling
-    /// thread included. Results are merged in SM order and do not depend on
-    /// the thread count: an SM's loads see global memory as it stood at
-    /// launch start plus its own stores, and every SM's stores land, in SM
-    /// order, when the launch ends. CUDA orders nothing between blocks of
-    /// one launch without fences or atomics, which this device does not
-    /// model. `factory` runs on the calling thread, SM by SM in block
-    /// order, before any SM starts.
+    /// thread included, each thread having at least 8 busy SMs to claim;
+    /// a launch with fewer than 16 busy SMs runs on the calling thread.
+    /// Results are merged in SM order and do not depend on the thread
+    /// count: an SM's loads see global memory as it stood at launch start
+    /// plus its own stores, and every SM's stores land, in SM order, when
+    /// the launch ends. CUDA orders nothing between blocks of one launch
+    /// without fences or atomics, which this device does not model.
+    /// `factory` runs on the calling thread, SM by SM in block order,
+    /// before any SM starts.
     pub fn launch<P, F>(&mut self, lc: LaunchConfig, factory: F) -> Result<Launched<P>, DeviceError>
     where
         P: WarpProgram + Send,
         F: FnMut(WarpGeometry) -> P,
     {
-        let workers = std::thread::available_parallelism().map_or(1, |n| n.get());
-        self.launch_on(lc, factory, workers)
+        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+        let busy = self.cfg.num_sms.min(lc.grid_blocks) as usize;
+        self.launch_on(lc, factory, launch_workers(cores, busy))
     }
 
     /// [`launch`](GpuDevice::launch) on at most `workers` host threads.
@@ -483,6 +495,13 @@ impl GpuDevice {
             programs: retired,
         })
     }
+}
+
+/// Host threads for a launch with `busy` busy SMs on a host with `cores`
+/// cores: at most one per `MIN_SMS_PER_WORKER` busy SMs, and at least
+/// the caller.
+fn launch_workers(cores: usize, busy: usize) -> usize {
+    cores.min(busy / MIN_SMS_PER_WORKER).max(1)
 }
 
 /// Run `task(i, inputs[i])` for every input on up to `workers` threads,
@@ -1232,6 +1251,28 @@ mod tests {
             while !done[i] {
                 done = self.1.wait(done).expect("test lock");
             }
+        }
+    }
+
+    #[test]
+    fn small_launches_run_on_the_calling_thread() {
+        // (cores, busy SMs) -> threads.
+        for (cores, busy, want) in [
+            (2, 0, 1),
+            (2, 1, 1),
+            (2, 3, 1),
+            (2, 12, 1),
+            (2, 16, 2),
+            (2, 30, 2),
+            (1, 30, 1),
+            (4, 30, 3),
+            (64, 30, 3),
+        ] {
+            assert_eq!(
+                launch_workers(cores, busy),
+                want,
+                "{cores} cores, {busy} SMs"
+            );
         }
     }
 
