@@ -424,15 +424,17 @@ impl WarpProgram for BandedKernel {
                         None
                     };
                 }
-                for lane in 0..n {
-                    // Labels are record offsets (the kernel's state ids);
-                    // the runner maps them back through `new_to_old`.
-                    self.scratch.attrs[lane] = self
-                        .lanes
-                        .active(lane)
-                        .then(|| gpu_sim::LaneAttr::state(fat_off(self.cur[lane])));
-                }
-                ctx.attribute(&self.scratch.attrs);
+                ctx.attribute_with(|labels| {
+                    for (lane, label) in labels.iter_mut().enumerate() {
+                        // Labels are record offsets (the kernel's state
+                        // ids); the runner maps them back through
+                        // `new_to_old`.
+                        *label = self
+                            .lanes
+                            .active(lane)
+                            .then(|| gpu_sim::LaneAttr::state(fat_off(self.cur[lane])));
+                    }
+                });
                 let (addrs, bytes) = (&self.scratch.addrs, &mut self.lanes.byte);
                 ctx.shared_read_u8(addrs, bytes);
                 ctx.compute(super::BYTE_LOAD_OVERHEAD);
@@ -461,19 +463,20 @@ impl WarpProgram for BandedKernel {
                         None
                     };
                 }
-                for lane in 0..n {
-                    // An off-band lane is walking its failure chain: that
-                    // fetch (and its share of this step) is failure cost,
-                    // charged to the state whose band missed.
-                    self.scratch.attrs[lane] =
-                        self.scratch.coords[lane]
+                ctx.attribute_with(|labels| {
+                    for (lane, label) in labels.iter_mut().enumerate() {
+                        // An off-band lane is walking its failure chain:
+                        // that fetch (and its share of this step) is
+                        // failure cost, charged to the state whose band
+                        // missed.
+                        *label = self.scratch.coords[lane]
                             .is_some()
                             .then(|| gpu_sim::LaneAttr {
                                 label: fat_off(self.cur[lane]),
                                 fail: !self.took_entry[lane],
                             });
-                }
-                ctx.attribute(&self.scratch.attrs);
+                    }
+                });
                 ctx.tex_fetch(self.tex_words, &self.scratch.coords, &mut self.fetched);
                 // Band test, fat-pointer unpack, and the per-lane state
                 // update for the lanes whose entry just landed.

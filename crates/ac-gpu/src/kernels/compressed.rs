@@ -287,8 +287,7 @@ impl WarpProgram for CompressedKernel {
                         None
                     };
                 }
-                self.lanes.fill_attrs(&mut self.scratch.attrs);
-                ctx.attribute(&self.scratch.attrs);
+                ctx.attribute_with(|labels| self.lanes.fill_attrs(labels));
                 let (addrs, bytes) = (&self.scratch.addrs, &mut self.lanes.byte);
                 ctx.shared_read_u8(addrs, bytes);
                 ctx.compute(super::BYTE_LOAD_OVERHEAD);
@@ -296,24 +295,21 @@ impl WarpProgram for CompressedKernel {
                 StepOutcome::Continue
             }
             Phase::FetchBitmapLo => {
-                self.lanes.fill_attrs(&mut self.scratch.attrs);
-                ctx.attribute(&self.scratch.attrs);
+                ctx.attribute_with(|labels| self.lanes.fill_attrs(labels));
                 meta_coords(&self.lanes, 0, &mut self.scratch.coords);
                 ctx.tex_fetch(self.tex_meta, &self.scratch.coords, &mut self.bm_lo);
                 self.phase = Phase::FetchBitmapHi;
                 StepOutcome::Continue
             }
             Phase::FetchBitmapHi => {
-                self.lanes.fill_attrs(&mut self.scratch.attrs);
-                ctx.attribute(&self.scratch.attrs);
+                ctx.attribute_with(|labels| self.lanes.fill_attrs(labels));
                 meta_coords(&self.lanes, 1, &mut self.scratch.coords);
                 ctx.tex_fetch(self.tex_meta, &self.scratch.coords, &mut self.bm_hi);
                 self.phase = Phase::FetchRank;
                 StepOutcome::Continue
             }
             Phase::FetchRank => {
-                self.lanes.fill_attrs(&mut self.scratch.attrs);
-                ctx.attribute(&self.scratch.attrs);
+                ctx.attribute_with(|labels| self.lanes.fill_attrs(labels));
                 meta_coords(&self.lanes, 2, &mut self.scratch.coords);
                 ctx.tex_fetch(self.tex_meta, &self.scratch.coords, &mut self.rank_base);
                 ctx.compute(4); // popcount + bit test per lane
@@ -332,8 +328,7 @@ impl WarpProgram for CompressedKernel {
                 StepOutcome::Continue
             }
             Phase::FetchTarget => {
-                self.lanes.fill_attrs(&mut self.scratch.attrs);
-                ctx.attribute(&self.scratch.attrs);
+                ctx.attribute_with(|labels| self.lanes.fill_attrs(labels));
                 // Stored-transition lanes fetch from the CSR targets.
                 for lane in 0..n {
                     self.scratch.coords[lane] = if self.lanes.active(lane) && self.hit_mask[lane] {
@@ -355,8 +350,7 @@ impl WarpProgram for CompressedKernel {
                 StepOutcome::Continue
             }
             Phase::FetchRoot => {
-                self.lanes.fill_attrs(&mut self.scratch.attrs);
-                ctx.attribute(&self.scratch.attrs);
+                ctx.attribute_with(|labels| self.lanes.fill_attrs(labels));
                 // Restart lanes fetch the root row; results merge into the
                 // same per-lane transition-entry buffer.
                 for lane in 0..n {

@@ -93,8 +93,7 @@ impl WarpProgram for GlobalOnlyKernel {
                         None
                     };
                 }
-                self.lanes.fill_attrs(&mut self.scratch.attrs);
-                ctx.attribute(&self.scratch.attrs);
+                ctx.attribute_with(|labels| self.lanes.fill_attrs(labels));
                 // Each active lane reads one byte from its own chunk: the
                 // scattered pattern of Fig. 7.
                 let (addrs, bytes) = (&self.scratch.addrs, &mut self.lanes.byte);
@@ -104,8 +103,7 @@ impl WarpProgram for GlobalOnlyKernel {
                 StepOutcome::Continue
             }
             Phase::Transition => {
-                self.lanes.fill_attrs(&mut self.scratch.attrs);
-                ctx.attribute(&self.scratch.attrs);
+                ctx.attribute_with(|labels| self.lanes.fill_attrs(labels));
                 self.lanes.fill_tex_coords(&mut self.scratch.coords);
                 ctx.tex_fetch(self.tex, &self.scratch.coords, &mut self.scratch.words);
                 ctx.compute(super::TRANSITION_OVERHEAD);

@@ -179,7 +179,6 @@ pub(crate) struct Scratch {
     pub coords: Vec<Option<(u32, u32)>>,
     pub words: Vec<u32>,
     pub writes: Vec<Option<(u64, u32)>>,
-    pub attrs: Vec<Option<LaneAttr>>,
 }
 
 impl Scratch {
@@ -190,7 +189,6 @@ impl Scratch {
             coords: vec![None; n],
             words: vec![0; n],
             writes: vec![None; n],
-            attrs: vec![None; n],
         }
     }
 
@@ -200,7 +198,6 @@ impl Scratch {
             coords: Vec::new(),
             words: Vec::new(),
             writes: Vec::new(),
-            attrs: Vec::new(),
         };
     }
 }

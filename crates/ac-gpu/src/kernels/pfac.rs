@@ -90,9 +90,9 @@ impl PfacKernel {
 
     /// Current (pre-transition) trie state per active lane; PFAC trie ids
     /// coincide with the DFA's state ids, so no host remap is needed.
-    fn fill_attrs(&mut self) {
-        for lane in 0..self.state.len() {
-            self.scratch.attrs[lane] = self
+    fn fill_attrs(&self, labels: &mut [Option<gpu_sim::LaneAttr>]) {
+        for (lane, label) in labels.iter_mut().enumerate().take(self.state.len()) {
+            *label = self
                 .active(lane)
                 .then(|| gpu_sim::LaneAttr::state(self.state[lane]));
         }
@@ -126,8 +126,7 @@ impl WarpProgram for PfacKernel {
                         None
                     };
                 }
-                self.fill_attrs();
-                ctx.attribute(&self.scratch.attrs);
+                ctx.attribute_with(|labels| self.fill_attrs(labels));
                 ctx.global_read_u8(&self.scratch.addrs, &mut self.byte);
                 ctx.compute(super::BYTE_LOAD_OVERHEAD);
                 self.phase = Phase::Transition;
@@ -141,8 +140,7 @@ impl WarpProgram for PfacKernel {
                         None
                     };
                 }
-                self.fill_attrs();
-                ctx.attribute(&self.scratch.attrs);
+                ctx.attribute_with(|labels| self.fill_attrs(labels));
                 ctx.tex_fetch(self.tex, &self.scratch.coords, &mut self.scratch.words);
                 ctx.compute(super::TRANSITION_OVERHEAD);
                 let mut any = false;

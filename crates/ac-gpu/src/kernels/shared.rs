@@ -258,8 +258,7 @@ impl WarpProgram for SharedKernel {
                         None
                     };
                 }
-                self.lanes.fill_attrs(&mut self.scratch.attrs);
-                ctx.attribute(&self.scratch.attrs);
+                ctx.attribute_with(|labels| self.lanes.fill_attrs(labels));
                 let (addrs, bytes) = (&self.scratch.addrs, &mut self.lanes.byte);
                 ctx.shared_read_u8(addrs, bytes);
                 ctx.compute(super::BYTE_LOAD_OVERHEAD);
@@ -269,8 +268,7 @@ impl WarpProgram for SharedKernel {
             Phase::Transition => {
                 // Attribute before the fetch so the per-label texture
                 // counters see this step's (pre-transition) states.
-                self.lanes.fill_attrs(&mut self.scratch.attrs);
-                ctx.attribute(&self.scratch.attrs);
+                ctx.attribute_with(|labels| self.lanes.fill_attrs(labels));
                 self.lanes.fill_tex_coords(&mut self.scratch.coords);
                 ctx.tex_fetch(self.tex, &self.scratch.coords, &mut self.scratch.words);
                 ctx.compute(super::TRANSITION_OVERHEAD);

@@ -391,8 +391,7 @@ impl WarpProgram for TwoLevelKernel {
                         None
                     };
                 }
-                self.lanes.fill_attrs(&mut self.scratch.attrs);
-                ctx.attribute(&self.scratch.attrs);
+                ctx.attribute_with(|labels| self.lanes.fill_attrs(labels));
                 let (addrs, bytes) = (&self.scratch.addrs, &mut self.lanes.byte);
                 ctx.shared_read_u8(addrs, bytes);
                 // One extra compare for the hot/cold routing decision.
@@ -411,8 +410,7 @@ impl WarpProgram for TwoLevelKernel {
                 StepOutcome::Continue
             }
             Phase::FetchHot => {
-                self.lanes.fill_attrs(&mut self.scratch.attrs);
-                ctx.attribute(&self.scratch.attrs);
+                ctx.attribute_with(|labels| self.lanes.fill_attrs(labels));
                 for lane in 0..n {
                     self.scratch.coords[lane] = if self.hot_mask[lane] {
                         Some((self.lanes.state[lane], 1 + self.lanes.byte[lane] as u32))
@@ -430,8 +428,7 @@ impl WarpProgram for TwoLevelKernel {
                 StepOutcome::Continue
             }
             Phase::FetchBitmapLo => {
-                self.lanes.fill_attrs(&mut self.scratch.attrs);
-                ctx.attribute(&self.scratch.attrs);
+                ctx.attribute_with(|labels| self.lanes.fill_attrs(labels));
                 cold_meta_coords(
                     &self.lanes,
                     &self.hot_mask,
@@ -444,8 +441,7 @@ impl WarpProgram for TwoLevelKernel {
                 StepOutcome::Continue
             }
             Phase::FetchBitmapHi => {
-                self.lanes.fill_attrs(&mut self.scratch.attrs);
-                ctx.attribute(&self.scratch.attrs);
+                ctx.attribute_with(|labels| self.lanes.fill_attrs(labels));
                 cold_meta_coords(
                     &self.lanes,
                     &self.hot_mask,
@@ -458,8 +454,7 @@ impl WarpProgram for TwoLevelKernel {
                 StepOutcome::Continue
             }
             Phase::FetchRank => {
-                self.lanes.fill_attrs(&mut self.scratch.attrs);
-                ctx.attribute(&self.scratch.attrs);
+                ctx.attribute_with(|labels| self.lanes.fill_attrs(labels));
                 cold_meta_coords(
                     &self.lanes,
                     &self.hot_mask,
@@ -482,8 +477,7 @@ impl WarpProgram for TwoLevelKernel {
                 StepOutcome::Continue
             }
             Phase::FetchTarget => {
-                self.lanes.fill_attrs(&mut self.scratch.attrs);
-                ctx.attribute(&self.scratch.attrs);
+                ctx.attribute_with(|labels| self.lanes.fill_attrs(labels));
                 for lane in 0..n {
                     self.scratch.coords[lane] =
                         if self.lanes.active(lane) && !self.hot_mask[lane] && self.hit_mask[lane] {
@@ -505,8 +499,7 @@ impl WarpProgram for TwoLevelKernel {
                 StepOutcome::Continue
             }
             Phase::FetchRoot => {
-                self.lanes.fill_attrs(&mut self.scratch.attrs);
-                ctx.attribute(&self.scratch.attrs);
+                ctx.attribute_with(|labels| self.lanes.fill_attrs(labels));
                 for lane in 0..n {
                     self.scratch.coords[lane] = if self.lanes.active(lane)
                         && !self.hot_mask[lane]

@@ -195,10 +195,16 @@ impl Plan {
 /// distinct banks — so both the cooperative staging stores and the
 /// per-thread matching loads are conflict-free (paper Fig. 12). Words in
 /// the overlap tail (`w ≥ T·wpc`) keep their linear position.
+///
+/// `j·T + (c + j) mod T` takes shifts and masks instead of three divisions
+/// when `T` and `wpc` are powers of two, as in the defaults (128 threads,
+/// 16-word chunks).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DiagonalMap {
     threads: u32,
     words_per_chunk: u32,
+    /// `(log2 T, log2 wpc)` when both are powers of two.
+    shifts: Option<(u32, u32)>,
 }
 
 impl DiagonalMap {
@@ -211,9 +217,13 @@ impl DiagonalMap {
             chunk_bytes > 0 && chunk_bytes.is_multiple_of(4),
             "chunk must be whole words"
         );
+        let words_per_chunk = chunk_bytes / 4;
+        let shifts = (threads.is_power_of_two() && words_per_chunk.is_power_of_two())
+            .then(|| (threads.trailing_zeros(), words_per_chunk.trailing_zeros()));
         DiagonalMap {
             threads,
-            words_per_chunk: chunk_bytes / 4,
+            words_per_chunk,
+            shifts,
         }
     }
 
@@ -225,9 +235,18 @@ impl DiagonalMap {
         if w >= t * wpc {
             return w; // overlap tail stays linear
         }
-        let c = w / wpc;
-        let j = w % wpc;
-        j * t + (c + j) % t
+        match self.shifts {
+            Some((t_shift, wpc_shift)) => {
+                let c = w >> wpc_shift;
+                let j = w & (wpc - 1);
+                (j << t_shift) + ((c + j) & (t - 1))
+            }
+            None => {
+                let c = w / wpc;
+                let j = w % wpc;
+                j * t + (c + j) % t
+            }
+        }
     }
 
     /// Map a linear tile *byte* offset to its stored byte address.
@@ -400,6 +419,25 @@ mod tests {
                     banks.dedup();
                     proptest::prop_assert_eq!(banks.len(), 16);
                 }
+            }
+        }
+    }
+
+    proptest::proptest! {
+        /// The shift form equals the division form word for word, over
+        /// power-of-two and other thread and chunk counts, overlap tail
+        /// included.
+        #[test]
+        fn diagonal_map_equals_its_division_form(
+            threads in proptest::sample::select(vec![1u32, 2, 16, 32, 48, 96, 128, 256, 100]),
+            wpc in proptest::sample::select(vec![1u32, 2, 4, 8, 16, 24, 32, 5]),
+            tail in 0u64..64,
+        ) {
+            let m = DiagonalMap::new(threads, wpc * 4);
+            let (t, wpc) = (threads as u64, wpc as u64);
+            for w in 0..t * wpc + tail {
+                let expected = if w >= t * wpc { w } else { (w % wpc) * t + (w / wpc + w % wpc) % t };
+                proptest::prop_assert_eq!(m.map_word(w), expected, "word {}", w);
             }
         }
     }

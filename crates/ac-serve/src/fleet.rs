@@ -49,7 +49,7 @@
 
 use crate::batch::assemble_batch;
 use crate::breaker::{BreakerState, BreakerTransition, CircuitBreaker, Route};
-use crate::job::{JobExpiry, JobOutcome, ScanJob, ServedBy};
+use crate::job::{check_jobs, JobExpiry, JobOutcome, ScanJob, ServedBy};
 use crate::queue::BoundedQueue;
 use crate::report::{percentile, BatchBucket, PoolStatsReport, ServeReport};
 use crate::sim::{
@@ -448,16 +448,20 @@ impl FleetState {
 /// CPU ladder. Device 0 runs on `matcher` itself (so armed fault plans
 /// behave exactly as under [`crate::serve`]); devices 1.. run on
 /// [`GpuAcMatcher::replicate`] clones with independent fault state.
+///
+/// Fails with [`GpuError::InvalidParams`], before any work, when an
+/// arrival is not a finite non-negative time or a job id repeats.
 pub fn serve_fleet(
     matcher: &GpuAcMatcher,
     mut jobs: Vec<ScanJob>,
     cfg: &FleetConfig,
 ) -> Result<FleetRun, GpuError> {
+    check_jobs(&jobs)?;
     cfg.device.effective_pcie().validate()?;
     jobs.sort_by(|a, b| {
         a.arrival_seconds
             .partial_cmp(&b.arrival_seconds)
-            .expect("arrival times are finite")
+            .expect("check_jobs admits finite arrivals only")
             .then(a.id.cmp(&b.id))
     });
     let devices = cfg.devices.max(1) as usize;
@@ -1503,6 +1507,19 @@ mod tests {
             seed: 11,
             ..WorkloadConfig::defaults()
         })
+    }
+
+    #[test]
+    fn bad_arrivals_and_duplicate_ids_are_typed_errors() {
+        let m = matcher();
+        for (jobs, names) in crate::job::bad_workloads() {
+            let err = serve_fleet(&m, jobs, &FleetConfig::new(2, ServeConfig::new(1)))
+                .expect_err("a bad workload is refused");
+            assert!(
+                matches!(&err, GpuError::InvalidParams(msg) if msg.contains(names)),
+                "{err:?}"
+            );
+        }
     }
 
     #[test]

@@ -1,6 +1,8 @@
 //! Scan jobs and their per-job outcomes.
 
 use ac_core::Match;
+use ac_gpu::GpuError;
+use std::collections::HashSet;
 
 /// One small scan request: a payload to match and the simulated time it
 /// arrives at the server (open-loop workload).
@@ -44,6 +46,44 @@ impl ScanJob {
         self.priority = priority;
         self
     }
+}
+
+/// Check a workload before serving it: every arrival must be a finite,
+/// non-negative time and every id unique. The error names the first
+/// offending job in input order.
+pub(crate) fn check_jobs(jobs: &[ScanJob]) -> Result<(), GpuError> {
+    let mut ids = HashSet::with_capacity(jobs.len());
+    for job in jobs {
+        let t = job.arrival_seconds;
+        if !t.is_finite() || t < 0.0 {
+            return Err(GpuError::InvalidParams(format!(
+                "job {} arrives at {t} s; arrivals must be finite and non-negative",
+                job.id
+            )));
+        }
+        if !ids.insert(job.id) {
+            return Err(GpuError::InvalidParams(format!(
+                "job id {} appears more than once",
+                job.id
+            )));
+        }
+    }
+    Ok(())
+}
+
+/// Bad workloads for the serving entry points' tests, each with the text
+/// its error must contain: NaN, ±inf and negative arrivals, and a
+/// repeated id.
+#[cfg(test)]
+pub(crate) fn bad_workloads() -> Vec<(Vec<ScanJob>, &'static str)> {
+    let job = |id, t| ScanJob::new(id, b"the king and her".to_vec(), t);
+    vec![
+        (vec![job(1, 0.0), job(2, f64::NAN)], "job 2 "),
+        (vec![job(1, f64::INFINITY), job(2, 0.0)], "job 1 "),
+        (vec![job(1, 0.0), job(2, f64::NEG_INFINITY)], "job 2 "),
+        (vec![job(1, 0.0), job(7, -1e-6)], "job 7 "),
+        (vec![job(3, 0.0), job(4, 1e-6), job(3, 2e-6)], "job id 3 "),
+    ]
 }
 
 /// Which execution tier produced a job's answer.

@@ -51,7 +51,7 @@
 
 use crate::batch::{assemble_batch, demux_matches, AssembledBatch, BatchLimits};
 use crate::breaker::{BreakerConfig, BreakerTransition, CircuitBreaker, Route};
-use crate::job::{JobExpiry, JobOutcome, ScanJob, ServedBy};
+use crate::job::{check_jobs, JobExpiry, JobOutcome, ScanJob, ServedBy};
 use crate::queue::{BoundedQueue, Overloaded};
 use crate::report::{percentile, BatchBucket, PoolStatsReport, ServeReport};
 use crate::slo::{AdmissionController, SheddedJob, SloConfig};
@@ -244,17 +244,21 @@ pub struct ServeRun {
 }
 
 /// Serve `jobs` (an open-loop arrival sequence) through `matcher`.
+///
+/// Fails with [`GpuError::InvalidParams`], before any work, when an
+/// arrival is not a finite non-negative time or a job id repeats.
 pub fn serve(
     matcher: &GpuAcMatcher,
     mut jobs: Vec<ScanJob>,
     cfg: &ServeConfig,
 ) -> Result<ServeRun, GpuError> {
+    check_jobs(&jobs)?;
     let pcie = cfg.effective_pcie();
     pcie.validate()?;
     jobs.sort_by(|a, b| {
         a.arrival_seconds
             .partial_cmp(&b.arrival_seconds)
-            .expect("arrival times are finite")
+            .expect("check_jobs admits finite arrivals only")
             .then(a.id.cmp(&b.id))
     });
     let submitted = jobs.len() as u64;
@@ -906,6 +910,18 @@ mod tests {
         assert!(run.outcomes.iter().all(|o| o.latency_seconds > 0.0));
         let hist_total: u64 = run.report.batch_histogram.iter().map(|b| b.count).sum();
         assert_eq!(hist_total, run.report.batches);
+    }
+
+    #[test]
+    fn bad_arrivals_and_duplicate_ids_are_typed_errors() {
+        let m = matcher();
+        for (jobs, names) in crate::job::bad_workloads() {
+            let err = serve(&m, jobs, &ServeConfig::new(1)).expect_err("a bad workload is refused");
+            assert!(
+                matches!(&err, GpuError::InvalidParams(msg) if msg.contains(names)),
+                "{err:?}"
+            );
+        }
     }
 
     #[test]

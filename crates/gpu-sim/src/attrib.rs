@@ -6,7 +6,7 @@
 //! answers *whose fault*: which part of the workload (which automaton
 //! state, and through the host-side ownership fold, which pattern) the
 //! machine was burning cycles on. Kernels tag each step with per-lane
-//! labels via [`crate::WarpCtx::attribute`]; the scheduler splits every
+//! labels via [`crate::WarpCtx::attribute_with`]; the scheduler splits every
 //! issue slot and every idle gap across the labels of the step that
 //! occupied or ended it.
 //!
@@ -163,7 +163,7 @@ impl AttributionState {
 
 /// Armed-only per-SM collection sink. The scheduler clears the per-lane
 /// step labels before each warp step; the kernel fills them through
-/// [`crate::WarpCtx::attribute`]; the scheduler then charges the step's
+/// [`crate::WarpCtx::attribute_with`]; the scheduler then charges the step's
 /// issue cycles (and any idle gap the warp later ends) across them.
 #[derive(Debug)]
 pub(crate) struct SmAttrSink {
@@ -195,11 +195,11 @@ impl SmAttrSink {
         self.step.fill(None);
     }
 
-    /// Record the step's per-lane labels (called by the kernel, at most
-    /// once per step, before any texture fetch it wants counted).
-    pub(crate) fn set_lanes(&mut self, lanes: &[Option<LaneAttr>]) {
-        let n = lanes.len().min(self.step.len());
-        self.step[..n].copy_from_slice(&lanes[..n]);
+    /// The step's per-lane labels, all `None` since [`Self::begin_step`],
+    /// for the kernel to fill (at most once per step, before any texture
+    /// fetch it wants counted).
+    pub(crate) fn lanes_mut(&mut self) -> &mut [Option<LaneAttr>] {
+        &mut self.step
     }
 
     /// Count a texture fetch performed by `lane` under its current label.
@@ -328,7 +328,7 @@ mod tests {
     fn step_labels_flow_through_tex_counting() {
         let mut s = sink();
         s.begin_step();
-        s.set_lanes(&[
+        s.lanes_mut().copy_from_slice(&[
             Some(LaneAttr::state(2)),
             None,
             Some(LaneAttr::state(0)),

@@ -16,7 +16,7 @@ use crate::texture::{TexId, Texture2d};
 use serde::{Deserialize, Serialize};
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 use trace::{TraceBuffer, TraceConfig};
 
 /// Busy SMs a launch needs per host thread; with fewer it uses fewer
@@ -133,7 +133,7 @@ pub struct GpuDevice {
     /// Same zero-cost-when-disabled contract as `fault` and `trace`.
     introspect: Option<Box<IntrospectState>>,
     /// Armed workload attribution (per-label cycle/fetch ledgers fed by
-    /// kernel `WarpCtx::attribute` calls), if any. Same
+    /// kernel `WarpCtx::attribute_with` calls), if any. Same
     /// zero-cost-when-disabled contract as `fault`, `trace`, `introspect`.
     attribution: Option<Box<AttributionState>>,
 }
@@ -232,7 +232,7 @@ impl GpuDevice {
 
     /// Arm workload attribution: subsequent launches charge every issue
     /// slot and idle gap to the per-lane labels kernels declare through
-    /// [`crate::WarpCtx::attribute`], into one [`Attribution`] per device.
+    /// [`crate::WarpCtx::attribute_with`], into one [`Attribution`] per device.
     /// Observation-only — armed and disarmed launches produce bit-identical
     /// [`LaunchStats`].
     pub fn arm_attribution(&mut self, cfg: AttributionConfig) {
@@ -345,8 +345,8 @@ impl GpuDevice {
     /// bandwidth slice, and the launch time is the slowest SM.
     ///
     /// SMs share nothing during a launch, so the host simulates them on up
-    /// to [`std::thread::available_parallelism`] threads, the calling
-    /// thread included, each thread having at least 8 busy SMs to claim;
+    /// to [`std::thread::available_parallelism`] threads (asked once per
+    /// process), the calling thread included, each thread having at least 8 busy SMs to claim;
     /// a launch with fewer than 16 busy SMs runs on the calling thread.
     /// Results are merged in SM order and do not depend on the thread
     /// count: an SM's loads see global memory as it stood at launch start
@@ -360,9 +360,8 @@ impl GpuDevice {
         P: WarpProgram + Send,
         F: FnMut(WarpGeometry) -> P,
     {
-        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
         let busy = self.cfg.num_sms.min(lc.grid_blocks) as usize;
-        self.launch_on(lc, factory, launch_workers(cores, busy))
+        self.launch_on(lc, factory, launch_workers(host_cores(), busy))
     }
 
     /// [`launch`](GpuDevice::launch) on at most `workers` host threads.
@@ -500,6 +499,14 @@ impl GpuDevice {
 /// Host threads for a launch with `busy` busy SMs on a host with `cores`
 /// cores: at most one per `MIN_SMS_PER_WORKER` busy SMs, and at least
 /// the caller.
+/// The host's [`std::thread::available_parallelism`], asked once per
+/// process: on Linux each query reads cgroup files, which cost a small
+/// launch a quarter of its host time.
+fn host_cores() -> usize {
+    static CORES: OnceLock<usize> = OnceLock::new();
+    *CORES.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
+}
+
 fn launch_workers(cores: usize, busy: usize) -> usize {
     cores.min(busy / MIN_SMS_PER_WORKER).max(1)
 }
@@ -967,10 +974,11 @@ mod tests {
             let thread = |l: usize| self.geom.global_thread(l as u32);
             match self.phase {
                 0 => {
-                    let labels: Vec<Option<crate::LaneAttr>> = (0..n)
-                        .map(|l| Some(crate::LaneAttr::state((thread(l) % 5) as u32)))
-                        .collect();
-                    ctx.attribute(&labels);
+                    ctx.attribute_with(|labels| {
+                        for (l, label) in labels.iter_mut().enumerate() {
+                            *label = Some(crate::LaneAttr::state((thread(l) % 5) as u32));
+                        }
+                    });
                     let coords: Vec<Option<(u32, u32)>> = (0..n)
                         .map(|l| Some(((thread(l) * 7 % 64) as u32, (thread(l) % 16) as u32)))
                         .collect();

@@ -127,6 +127,14 @@ impl StoreLog {
         } else {
             (self.lo, self.hi) = (self.lo.min(addr), self.hi.max(end));
         }
+        let off = addr as usize % STORE_PAGE;
+        if off % 64 <= 60 {
+            // The word sits in one page and one written-bit word.
+            let page = self.page_mut(addr / STORE_PAGE as u64);
+            page.bytes[off..off + 4].copy_from_slice(&value.to_le_bytes());
+            page.written[off / 64] |= 0xF << (off % 64);
+            return;
+        }
         for (i, b) in value.to_le_bytes().into_iter().enumerate() {
             let a = addr + i as u64;
             let off = a as usize % STORE_PAGE;
@@ -202,6 +210,9 @@ impl StoreLog {
 /// One coalesced DRAM transaction: `(segment base address, size in bytes)`.
 pub type Transaction = (u64, u32);
 
+/// Most lanes in a half-warp: [`GpuConfig::validate`] caps warps at 32.
+pub const MAX_HALF_WARP: usize = 16;
+
 /// Coalesce the active lanes of one half-warp.
 ///
 /// `accesses` holds `(address, width)` pairs for the active lanes
@@ -211,38 +222,54 @@ pub type Transaction = (u64, u32);
 /// behaviour that rewards the paper's cooperative staging loop and
 /// punishes the global-only kernel's strided reads.
 pub fn coalesce_halfwarp(cfg: &GpuConfig, accesses: &[(u64, u32)]) -> Vec<Transaction> {
-    let seg = cfg.coalesce_segment as u64;
-    // Half-warps are ≤16 lanes; a sort-free O(n²) merge on a fixed-size
-    // scratch buffer beats allocating a hash map in this very hot path.
-    let mut groups: Vec<(u64, u64, u64)> = Vec::with_capacity(4); // (seg_base, lo, hi)
+    let mut txns = [(0, 0); MAX_HALF_WARP];
+    let n = coalesce_halfwarp_into(cfg, accesses, &mut txns);
+    txns[..n].to_vec()
+}
+
+/// [`coalesce_halfwarp`] into a caller-owned buffer, for the simulator's
+/// hot path: writes the transactions to `out[..n]` and returns `n`.
+/// At most [`MAX_HALF_WARP`] accesses; `cfg` must be valid (its segment a
+/// power of two).
+pub fn coalesce_halfwarp_into(
+    cfg: &GpuConfig,
+    accesses: &[(u64, u32)],
+    out: &mut [Transaction; MAX_HALF_WARP],
+) -> usize {
+    debug_assert!(cfg.coalesce_segment.is_power_of_two());
+    let seg_mask = !(cfg.coalesce_segment as u64 - 1);
+    // Half-warps are ≤16 lanes: a sort-free O(n²) merge on stack arrays.
+    // `out[g].0` is group g's segment base, `spans[g]` its byte range.
+    let mut spans = [(0u64, 0u64); MAX_HALF_WARP];
+    let mut n = 0;
     for &(addr, width) in accesses {
-        let base = addr / seg * seg;
-        let lo = addr;
-        let hi = addr + width as u64;
-        match groups.iter_mut().find(|g| g.0 == base) {
+        let base = addr & seg_mask;
+        let (lo, hi) = (addr, addr + width as u64);
+        match out[..n].iter().position(|t| t.0 == base) {
             Some(g) => {
-                g.1 = g.1.min(lo);
-                g.2 = g.2.max(hi);
+                spans[g].0 = spans[g].0.min(lo);
+                spans[g].1 = spans[g].1.max(hi);
             }
-            None => groups.push((base, lo, hi)),
+            None => {
+                out[n].0 = base;
+                spans[n] = (lo, hi);
+                n += 1;
+            }
         }
     }
-    groups
-        .into_iter()
-        .map(|(base, lo, hi)| {
-            let span = hi - lo;
-            // Round the span up to the smallest GT200 granule that covers
-            // it: 32, 64, or the full segment (128).
-            let size = if span <= 32 {
-                32
-            } else if span <= 64 {
-                64
-            } else {
-                cfg.coalesce_segment
-            };
-            (base, size)
-        })
-        .collect()
+    for (t, &(lo, hi)) in out.iter_mut().zip(&spans).take(n) {
+        // Round the span up to the smallest GT200 granule that covers it:
+        // 32, 64, or the full segment (128).
+        let span = hi - lo;
+        t.1 = if span <= 32 {
+            32
+        } else if span <= 64 {
+            64
+        } else {
+            cfg.coalesce_segment
+        };
+    }
+    n
 }
 
 #[cfg(test)]
@@ -301,6 +328,42 @@ mod tests {
         assert!(coalesce_halfwarp(&cfg(), &[]).is_empty());
     }
 
+    /// The coalescing rule as first written: a growable group list and
+    /// division to find each segment.
+    fn reference_coalesce(cfg: &GpuConfig, accesses: &[(u64, u32)]) -> Vec<Transaction> {
+        let seg = cfg.coalesce_segment as u64;
+        let mut groups: Vec<(u64, u64, u64)> = Vec::new();
+        for &(addr, width) in accesses {
+            let base = addr / seg * seg;
+            let hi = addr + width as u64;
+            match groups.iter_mut().find(|g| g.0 == base) {
+                Some(g) => {
+                    g.1 = g.1.min(addr);
+                    g.2 = g.2.max(hi);
+                }
+                None => groups.push((base, addr, hi)),
+            }
+        }
+        groups
+            .into_iter()
+            .map(|(base, lo, hi)| {
+                let size = match hi - lo {
+                    0..=32 => 32,
+                    33..=64 => 64,
+                    _ => cfg.coalesce_segment,
+                };
+                (base, size)
+            })
+            .collect()
+    }
+
+    /// A store as four independent byte stores into a plain overlay.
+    fn reference_store(bytes: &mut [Option<u8>], addr: u64, value: u32) {
+        for (i, b) in value.to_le_bytes().into_iter().enumerate() {
+            bytes[addr as usize + i] = Some(b);
+        }
+    }
+
     proptest::proptest! {
         /// Coalescing invariants: one transaction per distinct segment,
         /// never more transactions than accesses, every granule legal,
@@ -328,6 +391,54 @@ mod tests {
                 // coverage is relative to the group's span).
                 let lo = accesses.iter().filter(|&&(x, _)| x / 128 == a / 128).map(|&(x, _)| x).min().unwrap();
                 proptest::prop_assert!(a + w as u64 - lo <= t.1 as u64);
+            }
+        }
+    }
+
+    proptest::proptest! {
+        /// The in-place coalescer equals the first-written rule, on every
+        /// segment size a device may use.
+        #[test]
+        fn coalesce_into_equals_the_reference(
+            seg_pow in 5u32..9,
+            accesses in proptest::collection::vec((0u64..1u64 << 12, proptest::sample::select(vec![1u32, 2, 4])), 0..=16)
+        ) {
+            let cfg = GpuConfig { coalesce_segment: 1 << seg_pow, ..cfg() };
+            let mut out = [(0, 0); MAX_HALF_WARP];
+            let n = coalesce_halfwarp_into(&cfg, &accesses, &mut out);
+            proptest::prop_assert_eq!(&out[..n], &reference_coalesce(&cfg, &accesses)[..]);
+            proptest::prop_assert_eq!(coalesce_halfwarp(&cfg, &accesses), reference_coalesce(&cfg, &accesses));
+        }
+
+        /// Word stores equal byte-wise stores, including words that
+        /// straddle a written-bit word (64 bytes) or a page: every byte
+        /// reads back the same, and applying the log leaves the same image.
+        #[test]
+        fn store_log_words_equal_byte_stores(
+            stores in proptest::collection::vec(
+                (0u64..3 * STORE_PAGE as u64 - 4, proptest::sample::select(vec![0u64, 1, 2, 3, 59, 60, 61, 62, 63]), proptest::prelude::any::<u32>()),
+                1..60,
+            )
+        ) {
+            let len = 3 * STORE_PAGE;
+            let image = GlobalMemory::from_bytes((0..len).map(|i| (i * 7) as u8).collect());
+            let mut log = StoreLog::default();
+            let mut overlay = vec![None; len];
+            for &(addr, edge, value) in &stores {
+                // Half the stores are pulled to an offset near the end of
+                // a 64-byte group, where a word can straddle it.
+                let addr = if edge == 0 { addr } else { (addr & !63) + edge };
+                let addr = addr.min(len as u64 - 4);
+                log.write_u32(&image, addr, value);
+                reference_store(&mut overlay, addr, value);
+            }
+            for (a, o) in overlay.iter().enumerate() {
+                proptest::prop_assert_eq!(log.read_u8(&image, a as u64), o.unwrap_or(image.read_u8(a as u64)));
+            }
+            let mut applied = image.clone();
+            log.apply(&mut applied);
+            for (a, o) in overlay.iter().enumerate() {
+                proptest::prop_assert_eq!(applied.read_u8(a as u64), o.unwrap_or(image.read_u8(a as u64)));
             }
         }
     }

@@ -14,7 +14,7 @@
 use crate::attrib::{LaneAttr, SmAttrSink};
 use crate::config::GpuConfig;
 use crate::constant::{broadcast_degree, ConstId, ConstantBuffer};
-use crate::global::{coalesce_halfwarp, GlobalMemory, StoreLog};
+use crate::global::{coalesce_halfwarp_into, GlobalMemory, StoreLog, MAX_HALF_WARP};
 use crate::introspect::SmProbe;
 use crate::shared::{conflict_passes, conflict_passes_profiled, SharedMemory};
 use crate::stats::SmStats;
@@ -195,14 +195,16 @@ impl<'a> WarpCtx<'a> {
     }
 
     /// Tag this step with per-lane workload labels (for the AC kernels,
-    /// the DFA state each lane is visiting). The scheduler charges the
-    /// step's issue cycles — and any idle gap this warp later ends —
-    /// across these labels; texture fetches performed *after* this call in
-    /// the same step are counted per label. A single branch when
-    /// attribution is disarmed; never feeds back into timing.
-    pub fn attribute(&mut self, lanes: &[Option<LaneAttr>]) {
+    /// the DFA state each lane is visiting). `fill` writes one label per
+    /// lane into a slice that starts all `None`; it runs only when
+    /// attribution is armed, so a disarmed step builds no labels. The
+    /// scheduler charges the step's issue cycles — and any idle gap this
+    /// warp later ends — across these labels; texture fetches performed
+    /// *after* this call in the same step are counted per label. Never
+    /// feeds back into timing.
+    pub fn attribute_with(&mut self, fill: impl FnOnce(&mut [Option<LaneAttr>])) {
         if let Some(sink) = self.attr.as_deref_mut() {
-            sink.set_lanes(lanes);
+            fill(sink.lanes_mut());
         }
     }
 
@@ -232,26 +234,29 @@ impl<'a> WarpCtx<'a> {
         mut apply: impl FnMut(&GlobalMemory, &StoreLog, u64, usize),
     ) {
         self.note_mem_op();
-        let mut scratch: Vec<(u64, u32)> = Vec::with_capacity(self.cfg.half_warp() as usize);
         let mut ready = self.now;
         for hw in self.half_warps(addrs.len()) {
-            scratch.clear();
+            let mut lanes = [(0, 0); MAX_HALF_WARP];
+            let mut n = 0;
             for lane in hw {
                 if let Some(a) = addrs[lane] {
                     apply(self.global, self.stores, a, lane);
-                    scratch.push((a, width));
+                    lanes[n] = (a, width);
+                    n += 1;
                 }
             }
-            if scratch.is_empty() {
+            if n == 0 {
                 continue;
             }
-            let txns = coalesce_halfwarp(self.cfg, &scratch);
-            self.stats.record_global(scratch.len() as u64, &txns);
+            let mut txns = [(0, 0); MAX_HALF_WARP];
+            let k = coalesce_halfwarp_into(self.cfg, &lanes[..n], &mut txns);
+            let txns = &txns[..k];
+            self.stats.record_global(n as u64, txns);
             // Address divergence replays the load instruction once per
             // extra transaction (GT200 LSU behaviour), occupying the
             // issue port like a shared-memory bank conflict does.
             self.issue += (txns.len() as u32 - 1) * self.cfg.issue_cycles;
-            for &(_, bytes) in &txns {
+            for &(_, bytes) in txns {
                 ready = ready.max(self.dram.issue(self.now, bytes));
             }
         }
@@ -266,21 +271,24 @@ impl<'a> WarpCtx<'a> {
     /// when the launch ends.
     pub fn global_write_u32(&mut self, writes: &[Option<(u64, u32)>]) {
         self.note_mem_op();
-        let mut scratch: Vec<(u64, u32)> = Vec::with_capacity(self.cfg.half_warp() as usize);
         for hw in self.half_warps(writes.len()) {
-            scratch.clear();
+            let mut lanes = [(0, 0); MAX_HALF_WARP];
+            let mut n = 0;
             for lane in hw {
                 if let Some((a, v)) = writes[lane] {
                     self.stores.write_u32(self.global, a, v);
-                    scratch.push((a, 4));
+                    lanes[n] = (a, 4);
+                    n += 1;
                 }
             }
-            if scratch.is_empty() {
+            if n == 0 {
                 continue;
             }
-            let txns = coalesce_halfwarp(self.cfg, &scratch);
-            self.stats.record_global(scratch.len() as u64, &txns);
-            for &(_, bytes) in &txns {
+            let mut txns = [(0, 0); MAX_HALF_WARP];
+            let k = coalesce_halfwarp_into(self.cfg, &lanes[..n], &mut txns);
+            let txns = &txns[..k];
+            self.stats.record_global(n as u64, txns);
+            for &(_, bytes) in txns {
                 // Consumes channel time; completion not awaited.
                 self.dram.issue(self.now, bytes);
             }
@@ -292,26 +300,19 @@ impl<'a> WarpCtx<'a> {
     pub fn shared_read_u8(&mut self, addrs: &[Option<u64>], out: &mut [u8]) {
         self.note_mem_op();
         let mut extra_passes = 0u32;
-        let mut scratch: Vec<u64> = Vec::with_capacity(self.cfg.half_warp() as usize);
         for hw in self.half_warps(addrs.len()) {
-            scratch.clear();
+            let mut lanes = [0; MAX_HALF_WARP];
+            let mut n = 0;
             for lane in hw {
                 if let Some(a) = addrs[lane] {
                     out[lane] = self.shared.read_u8(a);
-                    scratch.push(a);
+                    lanes[n] = a;
+                    n += 1;
                 }
             }
-            if scratch.is_empty() {
-                continue;
-            }
-            let p = match self.probe.as_deref_mut() {
-                Some(probe) => conflict_passes_profiled(self.cfg, &scratch, &mut probe.banks),
-                None => conflict_passes(self.cfg, &scratch),
-            };
-            self.stats.record_shared(p);
             // Half-warps pipeline; only passes beyond the first per
             // half-warp re-occupy the issue port.
-            extra_passes += p - 1;
+            extra_passes += self.shared_passes(&lanes[..n]);
         }
         self.apply_shared_cost(extra_passes);
     }
@@ -321,26 +322,33 @@ impl<'a> WarpCtx<'a> {
     pub fn shared_write_u32(&mut self, writes: &[Option<(u64, u32)>]) {
         self.note_mem_op();
         let mut extra_passes = 0u32;
-        let mut scratch: Vec<u64> = Vec::with_capacity(self.cfg.half_warp() as usize);
         for hw in self.half_warps(writes.len()) {
-            scratch.clear();
+            let mut lanes = [0; MAX_HALF_WARP];
+            let mut n = 0;
             for lane in hw {
                 if let Some((a, v)) = writes[lane] {
                     self.shared.write_u32(a, v);
-                    scratch.push(a);
+                    lanes[n] = a;
+                    n += 1;
                 }
             }
-            if scratch.is_empty() {
-                continue;
-            }
-            let p = match self.probe.as_deref_mut() {
-                Some(probe) => conflict_passes_profiled(self.cfg, &scratch, &mut probe.banks),
-                None => conflict_passes(self.cfg, &scratch),
-            };
-            self.stats.record_shared(p);
-            extra_passes += p - 1;
+            extra_passes += self.shared_passes(&lanes[..n]);
         }
         self.apply_shared_cost(extra_passes);
+    }
+
+    /// Record one half-warp's shared access and return its passes beyond
+    /// the first (0 for a half-warp with no active lane).
+    fn shared_passes(&mut self, addrs: &[u64]) -> u32 {
+        if addrs.is_empty() {
+            return 0;
+        }
+        let p = match self.probe.as_deref_mut() {
+            Some(probe) => conflict_passes_profiled(self.cfg, addrs, &mut probe.banks),
+            None => conflict_passes(self.cfg, addrs),
+        };
+        self.stats.record_shared(p);
+        p - 1
     }
 
     fn apply_shared_cost(&mut self, extra_passes: u32) {
@@ -823,7 +831,7 @@ mod tests {
 
         sink.begin_step();
         let mut ctx = attributed.attr_ctx(&mut sink, 0);
-        ctx.attribute(&labels);
+        ctx.attribute_with(|lanes| lanes.copy_from_slice(&labels));
         ctx.tex_fetch(TexId(0), &coords, &mut out32);
         assert_eq!(ctx.into_cost(), plain_cost);
         assert_eq!(plain.stats, attributed.stats);

@@ -8,6 +8,7 @@
 //! GT200 special case.
 
 use crate::config::GpuConfig;
+use crate::global::MAX_HALF_WARP;
 use mem_sim::BankHistogram;
 
 /// A block's shared memory: functional byte store sized at launch.
@@ -84,8 +85,18 @@ pub fn conflict_passes(cfg: &GpuConfig, addrs: &[u64]) -> u32 {
     if addrs.is_empty() {
         return 0;
     }
-    let counts = bank_word_counts(cfg, addrs);
-    counts.iter().copied().max().unwrap_or(0).max(1)
+    // The common case, every lane in a bank of its own (the paper's
+    // diagonal layout), is one pass with nothing to de-duplicate.
+    let mut banks = 0u32;
+    for &a in addrs {
+        let bank = 1 << bank_of_word(cfg, a / 4);
+        if banks & bank != 0 {
+            let counts = bank_word_counts(cfg, addrs);
+            return counts.iter().copied().max().unwrap_or(0).max(1);
+        }
+        banks |= bank;
+    }
+    1
 }
 
 /// As [`conflict_passes`], additionally recording the per-bank distinct-word
@@ -105,22 +116,35 @@ pub fn conflict_passes_profiled(cfg: &GpuConfig, addrs: &[u64], hist: &mut BankH
 /// Distinct words addressed per bank by one half-warp (indices past
 /// `shared_banks` stay zero).
 fn bank_word_counts(cfg: &GpuConfig, addrs: &[u64]) -> [u32; 32] {
-    let banks = cfg.shared_banks as usize;
-    // Half-warps are ≤16 lanes: fixed scratch arrays, no allocation.
-    debug_assert!(addrs.len() <= cfg.half_warp() as usize);
-    let mut per_bank_words: [[u64; 16]; 32] = [[u64::MAX; 16]; 32];
-    let mut per_bank_count = [0u32; 32];
+    // Half-warps are ≤16 lanes: de-duplicate the words on a stack array,
+    // then count each distinct word once in its bank.
+    debug_assert!(addrs.len() <= MAX_HALF_WARP);
+    let mut words = [0u64; MAX_HALF_WARP];
+    let mut n = 0;
     for &a in addrs {
         let word = a / 4;
-        let bank = (word % banks as u64) as usize;
-        let seen = &mut per_bank_words[bank];
-        let count = &mut per_bank_count[bank];
-        if !seen[..*count as usize].contains(&word) {
-            seen[*count as usize] = word;
-            *count += 1;
+        if !words[..n].contains(&word) {
+            words[n] = word;
+            n += 1;
         }
     }
-    per_bank_count
+    let mut counts = [0u32; 32];
+    for &word in &words[..n] {
+        counts[bank_of_word(cfg, word) as usize] += 1;
+    }
+    counts
+}
+
+/// Bank of shared-memory word `word`.
+#[inline]
+fn bank_of_word(cfg: &GpuConfig, word: u64) -> u32 {
+    let banks = cfg.shared_banks as u64;
+    let bank = if banks.is_power_of_two() {
+        word & (banks - 1)
+    } else {
+        word % banks
+    };
+    bank as u32
 }
 
 #[cfg(test)]
@@ -214,6 +238,23 @@ mod tests {
         assert_eq!(hist.ops(), 1);
     }
 
+    /// Per-bank arrays of the distinct words seen so far: the counting
+    /// rule written without de-duplicating first.
+    fn reference_bank_word_counts(banks: u32, addrs: &[u64]) -> [u32; 32] {
+        let mut per_bank_words = [[u64::MAX; 16]; 32];
+        let mut per_bank_count = [0u32; 32];
+        for &a in addrs {
+            let word = a / 4;
+            let bank = (word % banks as u64) as usize;
+            let count = &mut per_bank_count[bank];
+            if !per_bank_words[bank][..*count as usize].contains(&word) {
+                per_bank_words[bank][*count as usize] = word;
+                *count += 1;
+            }
+        }
+        per_bank_count
+    }
+
     proptest! {
         /// Passes are bounded by [1, active lanes] and by the number of
         /// distinct words.
@@ -226,6 +267,21 @@ mod tests {
             words.sort_unstable();
             words.dedup();
             prop_assert!(p as usize <= words.len());
+        }
+
+        /// De-duplicating then counting per bank equals the per-bank
+        /// arrays, for every bank count the model allows, and the passes
+        /// are their largest count.
+        #[test]
+        fn bank_word_counts_equal_the_per_bank_arrays(
+            banks in 1u32..=32,
+            addrs in proptest::collection::vec(0u64..1024, 0..=16),
+        ) {
+            let cfg = GpuConfig { shared_banks: banks, ..cfg() };
+            let reference = reference_bank_word_counts(banks, &addrs);
+            prop_assert_eq!(bank_word_counts(&cfg, &addrs), reference);
+            let passes = if addrs.is_empty() { 0 } else { reference.iter().copied().max().unwrap().max(1) };
+            prop_assert_eq!(conflict_passes(&cfg, &addrs), passes);
         }
 
         /// The profiled variant returns exactly what the plain one does —

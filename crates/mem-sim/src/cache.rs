@@ -182,52 +182,76 @@ impl Cache {
     /// Access the byte at `addr`; the whole containing line is allocated on
     /// miss (read-allocate; the simulators model read-only caches — texture
     /// cache, instruction-like STT walks — so no dirty/writeback state).
+    ///
+    /// Exact LRU: a hit refreshes its way; a miss fills the first invalid
+    /// way, else the first least-recently-used one. The lookup is
+    /// specialised for the associativities the shipped devices use, so its
+    /// way loop has a fixed trip count; any other associativity takes the
+    /// same routine with a runtime count.
     pub fn access(&mut self, addr: u64) -> CacheOutcome {
+        match self.cfg.associativity {
+            2 => self.access_ways::<2>(addr),
+            4 => self.access_ways::<4>(addr),
+            8 => self.access_ways::<8>(addr),
+            12 => self.access_ways::<12>(addr),
+            16 => self.access_ways::<16>(addr),
+            24 => self.access_ways::<24>(addr),
+            _ => self.access_ways::<0>(addr),
+        }
+    }
+
+    /// [`Cache::access`] on sets of `W` ways; `W = 0` reads the
+    /// associativity from the config.
+    #[inline(always)]
+    fn access_ways<const W: usize>(&mut self, addr: u64) -> CacheOutcome {
+        let ways = if W == 0 {
+            self.cfg.associativity as usize
+        } else {
+            W
+        };
         self.clock += 1;
         self.stats.accesses += 1;
         let line_addr = addr >> self.line_shift;
         let set = (line_addr & self.set_mask) as usize;
-        let ways = self.cfg.associativity as usize;
         let base = set * ways;
-        if let Some(p) = self.set_profile.as_mut() {
-            p[set].accesses += 1;
-        }
-        let slice = &mut self.tags[base..base + ways];
-        // Hit?
-        for (w, tag) in slice.iter().enumerate() {
-            if *tag == line_addr {
-                self.stamps[base + w] = self.clock;
-                self.stats.hits += 1;
-                if let Some(p) = self.set_profile.as_mut() {
-                    p[set].hits += 1;
-                }
-                return CacheOutcome::Hit;
+        let tags = &mut self.tags[base..base + ways];
+        let stamps = &mut self.stamps[base..base + ways];
+        // Each scan visits every way with no early exit. Tags in a set are
+        // distinct, so at most one way matches.
+        let mut hit = usize::MAX;
+        for (w, &tag) in tags.iter().enumerate() {
+            if tag == line_addr {
+                hit = w;
             }
         }
-        // Miss: fill invalid way or evict LRU.
+        let profile = self.set_profile.as_mut().map(|p| &mut p[set]);
+        if hit != usize::MAX {
+            stamps[hit] = self.clock;
+            self.stats.hits += 1;
+            if let Some(p) = profile {
+                p.accesses += 1;
+                p.hits += 1;
+            }
+            return CacheOutcome::Hit;
+        }
+        // Invalid ways carry stamp 0 and valid ones a stamp ≥ 1 (the clock
+        // ticks before any fill), so the first smallest stamp is the first
+        // invalid way when there is one, else the least recently used.
+        let mut victim = 0;
+        for w in 1..ways {
+            if stamps[w] < stamps[victim] {
+                victim = w;
+            }
+        }
         self.stats.misses += 1;
-        let mut victim = 0usize;
-        let mut oldest = u64::MAX;
-        for w in 0..ways {
-            if self.tags[base + w] == u64::MAX {
-                victim = w;
-                break;
-            }
-            if self.stamps[base + w] < oldest {
-                oldest = self.stamps[base + w];
-                victim = w;
-            }
+        let old = tags[victim];
+        tags[victim] = line_addr;
+        stamps[victim] = self.clock;
+        let evicted = (old != u64::MAX).then_some(old << self.line_shift);
+        if let Some(p) = profile {
+            p.accesses += 1;
+            p.evictions += u64::from(evicted.is_some());
         }
-        let evicted = if self.tags[base + victim] == u64::MAX {
-            None
-        } else {
-            if let Some(p) = self.set_profile.as_mut() {
-                p[set].evictions += 1;
-            }
-            Some(self.tags[base + victim] << self.line_shift)
-        };
-        self.tags[base + victim] = line_addr;
-        self.stamps[base + victim] = self.clock;
         CacheOutcome::Miss { evicted }
     }
 
@@ -428,6 +452,138 @@ mod tests {
         assert!(c.resident_lines().is_empty());
     }
 
+    /// The LRU rule written plainly: an early-exit hit search, then the
+    /// first invalid way or else the first least-recent stamp.
+    struct Reference {
+        ways: usize,
+        set_mask: u64,
+        line_shift: u32,
+        tags: Vec<u64>,
+        stamps: Vec<u64>,
+        clock: u64,
+        stats: CacheStats,
+        sets: Option<Vec<SetStats>>,
+    }
+
+    impl Reference {
+        fn new(cfg: CacheConfig, profile: bool) -> Self {
+            let lines = (cfg.size_bytes / cfg.line_bytes) as usize;
+            Reference {
+                ways: cfg.associativity as usize,
+                set_mask: (cfg.sets() - 1) as u64,
+                line_shift: cfg.line_bytes.trailing_zeros(),
+                tags: vec![u64::MAX; lines],
+                stamps: vec![0; lines],
+                clock: 0,
+                stats: CacheStats::default(),
+                sets: profile.then(|| vec![SetStats::default(); cfg.sets() as usize]),
+            }
+        }
+
+        fn access(&mut self, addr: u64) -> CacheOutcome {
+            self.clock += 1;
+            self.stats.accesses += 1;
+            let line = addr >> self.line_shift;
+            let set = (line & self.set_mask) as usize;
+            let base = set * self.ways;
+            if let Some(p) = self.sets.as_mut() {
+                p[set].accesses += 1;
+            }
+            for w in base..base + self.ways {
+                if self.tags[w] == line {
+                    self.stamps[w] = self.clock;
+                    self.stats.hits += 1;
+                    if let Some(p) = self.sets.as_mut() {
+                        p[set].hits += 1;
+                    }
+                    return CacheOutcome::Hit;
+                }
+            }
+            self.stats.misses += 1;
+            let mut victim = base;
+            for w in base..base + self.ways {
+                if self.tags[w] == u64::MAX {
+                    victim = w;
+                    break;
+                }
+                if self.stamps[w] < self.stamps[victim] {
+                    victim = w;
+                }
+            }
+            let evicted =
+                (self.tags[victim] != u64::MAX).then(|| self.tags[victim] << self.line_shift);
+            if evicted.is_some() {
+                if let Some(p) = self.sets.as_mut() {
+                    p[set].evictions += 1;
+                }
+            }
+            self.tags[victim] = line;
+            self.stamps[victim] = self.clock;
+            CacheOutcome::Miss { evicted }
+        }
+
+        fn resident_lines(&self) -> Vec<u64> {
+            self.tags
+                .iter()
+                .filter(|&&t| t != u64::MAX)
+                .map(|&t| t << self.line_shift)
+                .collect()
+        }
+    }
+
+    /// Every associativity the lookup is specialised for, the runtime-count
+    /// ones in between, and a flush in the middle of the stream.
+    #[test]
+    fn lookup_equals_the_reference_lru_at_every_associativity() {
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        let addrs: Vec<u64> = (0..4000)
+            .map(|_| {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                // A small address space so sets fill, evict and hit.
+                x % (64 * 16 * 40)
+            })
+            .collect();
+        for ways in (1..=16).chain([24]) {
+            for profile in [false, true] {
+                let cfg = CacheConfig {
+                    size_bytes: 4 * ways * 16,
+                    line_bytes: 16,
+                    associativity: ways,
+                };
+                let mut cache = Cache::new(cfg);
+                if profile {
+                    cache.enable_set_profile();
+                }
+                let mut reference = Reference::new(cfg, profile);
+                for (i, &a) in addrs.iter().enumerate() {
+                    if i == addrs.len() / 2 {
+                        cache.flush();
+                        reference.tags.fill(u64::MAX);
+                        reference.stamps.fill(0);
+                    }
+                    assert_eq!(
+                        cache.access(a),
+                        reference.access(a),
+                        "{ways} ways, access {i}"
+                    );
+                }
+                assert_eq!(cache.stats(), reference.stats, "{ways} ways");
+                assert_eq!(
+                    cache.set_profile(),
+                    reference.sets.as_deref(),
+                    "{ways} ways"
+                );
+                assert_eq!(
+                    cache.resident_lines(),
+                    reference.resident_lines(),
+                    "{ways} ways"
+                );
+            }
+        }
+    }
+
     proptest! {
         /// Accesses never under- or over-count: hits + misses = accesses.
         #[test]
@@ -473,6 +629,28 @@ mod tests {
             prop_assert_eq!(p.iter().map(|x| x.accesses).sum::<u64>(), s.accesses);
             prop_assert_eq!(p.iter().map(|x| x.hits).sum::<u64>(), s.hits);
             prop_assert!(p.iter().map(|x| x.evictions).sum::<u64>() <= s.misses);
+        }
+
+        /// Random streams at random associativities agree with the
+        /// reference on every outcome, counter and resident line.
+        #[test]
+        fn lookup_equals_the_reference_lru(
+            ways in proptest::sample::select(vec![1u32, 2, 3, 4, 5, 7, 8, 12, 16, 24]),
+            profile in any::<bool>(),
+            addrs in proptest::collection::vec(0u64..4096, 1..400),
+        ) {
+            let cfg = CacheConfig { size_bytes: 2 * ways * 16, line_bytes: 16, associativity: ways };
+            let mut cache = Cache::new(cfg);
+            if profile {
+                cache.enable_set_profile();
+            }
+            let mut reference = Reference::new(cfg, profile);
+            for &a in &addrs {
+                prop_assert_eq!(cache.access(a), reference.access(a));
+            }
+            prop_assert_eq!(cache.stats(), reference.stats);
+            prop_assert_eq!(cache.set_profile(), reference.sets.as_deref());
+            prop_assert_eq!(cache.resident_lines(), reference.resident_lines());
         }
 
         /// Profiling is pure observation: outcomes and aggregate stats are
